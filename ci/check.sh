@@ -96,6 +96,19 @@ if grep -nE 'cfg_?\.\s*(batch_size|af_drain_per_op|latency_target_us|flush_batch
   exit 1
 fi
 
+# Ledger invariant (docs/SMR_SCHEMES.md, "Ledger and shared writes"):
+# retired and freed are counted on each lane's own line (LaneState) and
+# summed on read; no executor or scheme TU may declare a bundle-wide
+# retired_/freed_ counter that every retire or free would write.
+if grep -nE '\b(retired|freed)_\s*(\{|;|=)' \
+    smr/reclaimer.hpp smr/free_executor.hpp smr/free_executor.cpp \
+    smr/pooling_executor.hpp smr/ebr.cpp smr/token.cpp smr/hp.cpp \
+    smr/he_ibr_wfe.cpp smr/nbr.cpp; then
+  echo "ci/check.sh: bundle-wide retired_/freed_ counter declared —" \
+       "count the ledger in FreeExecutor::LaneState" >&2
+  exit 1
+fi
+
 # Same boundary for the latency feedback loop: schemes and executors
 # never touch the recorder or its percentile math — the harness records,
 # the FreeSchedule consumes on_tail_latency.

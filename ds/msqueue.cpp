@@ -134,11 +134,14 @@ class MsQueue final : public ConcurrentQueue {
  private:
   smr::Reclaimer* r_;
   const std::uint64_t cap_;
-  std::atomic<Node*> head_;
-  std::atomic<Node*> tail_;
+  // One cache line each: consumers CAS head_, producers CAS tail_, and
+  // both sides bump size_ — sharing a line would make every enqueue
+  // and dequeue pull it away from the other role.
+  alignas(64) std::atomic<Node*> head_;
+  alignas(64) std::atomic<Node*> tail_;
   // Signed so a transient dequeue-side undershoot never wraps the
   // capacity check.
-  std::atomic<std::int64_t> size_{0};
+  alignas(64) std::atomic<std::int64_t> size_{0};
 };
 
 }  // namespace

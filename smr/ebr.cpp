@@ -56,10 +56,9 @@ class EbrReclaimer final : public Reclaimer {
  public:
   EbrReclaimer(const EbrOptions& opt, const SmrContext& ctx,
                const SmrConfig& cfg, FreeExecutor* executor)
-      : Reclaimer(cfg),
+      : Reclaimer(cfg, executor),
         opt_(opt),
         ctx_(ctx),
-        executor_(executor),
         slots_(cfg.slot_capacity()) {
     seal_threshold_.store(compute_seal_threshold(),
                           std::memory_order_relaxed);
@@ -80,20 +79,14 @@ class EbrReclaimer final : public Reclaimer {
     }
   }
 
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = epochs_advanced_.load(std::memory_order_relaxed);
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return opt_.name; }
   const char* family() const override { return "ebr"; }
 
  protected:
+  std::uint64_t progress_beats() const override {
+    return epochs_advanced_.load(std::memory_order_relaxed);
+  }
+
   void begin_op_slot(int slot_idx) override {
     EbrSlot& s = slot(slot_idx);
     if (opt_.quiescent) {
@@ -121,7 +114,6 @@ class EbrReclaimer final : public Reclaimer {
 
   void retire_slot(int slot_idx, void* p) override {
     EbrSlot& s = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
     s.bag.push_back(p);
     if (s.bag.size() >= seal_threshold()) {
       seal(s);
@@ -213,17 +205,15 @@ class EbrReclaimer final : public Reclaimer {
     if (epoch_.compare_exchange_strong(expected, e + 1,
                                        std::memory_order_acq_rel)) {
       epochs_advanced_.fetch_add(1, std::memory_order_relaxed);
-      record_progress_beat(ctx_, slot_idx, e + 1, stats().pending);
+      record_progress_beat(*this, ctx_, slot_idx, e + 1);
     }
   }
 
   EbrOptions opt_;
   SmrContext ctx_;
-  FreeExecutor* executor_;
   std::vector<EbrSlot> slots_;
   std::atomic<std::size_t> seal_threshold_{1};
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> epochs_advanced_{0};
 };
 

@@ -39,6 +39,17 @@ const FreeExecutor::LaneState& FreeExecutor::lane_state(int lane) const {
   return lanes_[i < lanes_.size() ? i : 0];
 }
 
+void* FreeExecutor::pop_backlog(int lane, std::deque<void*>& nodes,
+                                std::deque<std::uint32_t>& tags) {
+  void* p = nodes.front();
+  nodes.pop_front();
+  if (multi_tenant_) {
+    note_tenant_drained(lane, tags.front(), 1);
+    tags.pop_front();
+  }
+  return p;
+}
+
 void* FreeExecutor::alloc_node(int lane, std::size_t size) {
   // Every node must have room for the reclaimer-owned intrusive header,
   // and the header must never be indeterminate: schemes that don't stamp
@@ -58,8 +69,7 @@ void FreeExecutor::timed_free_as(int stats_lane, int alloc_lane, void* p) {
   } else {
     ctx_.allocator->deallocate(alloc_lane, p);
   }
-  freed_.fetch_add(1, std::memory_order_relaxed);
-  lane_state(stats_lane).drained.fetch_add(1, std::memory_order_relaxed);
+  note_drained(stats_lane);
 }
 
 void FreeExecutor::timed_hint_free(int stats_lane, int alloc_lane, void* p) {
@@ -71,8 +81,7 @@ void FreeExecutor::timed_hint_free(int stats_lane, int alloc_lane, void* p) {
   } else {
     ctx_.allocator->free_local_hint(alloc_lane, p);
   }
-  freed_.fetch_add(1, std::memory_order_relaxed);
-  lane_state(stats_lane).drained.fetch_add(1, std::memory_order_relaxed);
+  note_drained(stats_lane);
 }
 
 void FreeExecutor::routed_free(int stats_lane, int alloc_lane, void* p) {
@@ -185,30 +194,6 @@ void FreeExecutor::on_lane_released(int lane) {
   on_adopted(lane, std::move(bag));
 }
 
-std::uint64_t FreeExecutor::total_stashed() const {
-  std::uint64_t t = 0;
-  for (const LaneState& l : lanes_) {
-    t += l.stashed.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-std::uint64_t FreeExecutor::total_flushed() const {
-  std::uint64_t t = 0;
-  for (const RemoteStash& s : stash_) {
-    t += s.flushed.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-std::uint64_t FreeExecutor::total_stash_backlog() const {
-  std::uint64_t t = 0;
-  for (const RemoteStash& s : stash_) {
-    t += s.backlog.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
 void FreeExecutor::on_adopted(int lane, std::vector<void*>&& bag) {
   if (bag.empty()) return;
   LaneState& l = lane_state(lane);
@@ -235,12 +220,7 @@ std::size_t FreeExecutor::drain_adopted(int lane, std::size_t quota) {
   {
     LaneLock lock(l, daemon_hooked_);
     while (n < quota && !l.adopted.empty()) {
-      void* p = l.adopted.front();
-      l.adopted.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane, l.adopted_tags.front(), 1);
-        l.adopted_tags.pop_front();
-      }
+      void* p = pop_backlog(lane, l.adopted, l.adopted_tags);
       routed_free(lane, lane, p);
       ++n;
     }
@@ -273,12 +253,7 @@ void FreeExecutor::quiesce(int lane) {
   {
     LaneLock lock(l, daemon_hooked_);
     while (!l.adopted.empty()) {
-      void* p = l.adopted.front();
-      l.adopted.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane, l.adopted_tags.front(), 1);
-        l.adopted_tags.pop_front();
-      }
+      void* p = pop_backlog(lane, l.adopted, l.adopted_tags);
       timed_free(lane, p);
     }
     l.adopted_backlog.store(0, std::memory_order_relaxed);
@@ -297,12 +272,7 @@ std::size_t FreeExecutor::daemon_drain(int lane, std::size_t quota,
       l.adopted_backlog.load(std::memory_order_relaxed) != 0) {
     LaneLock lock(l, true);
     while (n < quota && !l.adopted.empty()) {
-      void* p = l.adopted.front();
-      l.adopted.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane, l.adopted_tags.front(), 1);
-        l.adopted_tags.pop_front();
-      }
+      void* p = pop_backlog(lane, l.adopted, l.adopted_tags);
       timed_free_as(lane, daemon_lane, p);
       ++n;
     }
@@ -329,27 +299,30 @@ std::uint64_t FreeExecutor::backlog() const {
   return total;
 }
 
-LaneStats FreeExecutor::lane_stats(int lane) const {
+// Mid-trial snapshots are unsynchronized by design (one load per
+// counter; no lock on the hot path), so pairs of counters can tear. The
+// exit-side counters (drained, flushed) are read *before* their
+// entry-side partners (retired, enqueued, stashed): exits only follow
+// entries, so derived gauges (retired - drained, stashed - flushed)
+// never go negative. The backlog gauges are maintained entry-first for
+// the same reason (see stash_push) rather than derived here.
+void FreeExecutor::read_exits(int lane, LaneStats& s) const {
+  const std::size_t i = static_cast<std::size_t>(lane);
+  s.drained = lane_state(lane).drained.load(std::memory_order_acquire);
+  s.flushed = stash_[i < stash_.size() ? i : 0].flushed.load(
+      std::memory_order_relaxed);
+}
+
+void FreeExecutor::read_entries(int lane, LaneStats& s) const {
   const LaneState& l = lane_state(lane);
   const std::size_t i = static_cast<std::size_t>(lane);
-  const RemoteStash& st = stash_[i < stash_.size() ? i : 0];
-  LaneStats s;
   s.ops = l.ops.load(std::memory_order_relaxed);
-  // Mid-trial snapshots are unsynchronized by design (one relaxed load
-  // per counter; no lock on the hot path), so pairs of counters can
-  // tear. The exit-side counters (drained, flushed) are read *before*
-  // their entry-side partners (enqueued, stashed): exits only follow
-  // entries, so a later-read entry counter is always >= the
-  // earlier-read exit counter and derived gauges (enqueued - drained,
-  // stashed - flushed) never go negative. The backlog gauges are
-  // maintained entry-first for the same reason (see stash_push) rather
-  // than derived here.
-  s.drained = l.drained.load(std::memory_order_relaxed);
+  s.retired = l.retired.load(std::memory_order_relaxed);
   s.enqueued = l.enqueued.load(std::memory_order_relaxed);
   s.adopted = l.adopted_total.load(std::memory_order_relaxed);
-  s.flushed = st.flushed.load(std::memory_order_relaxed);
   s.stashed = l.stashed.load(std::memory_order_relaxed);
-  s.stash_backlog = st.backlog.load(std::memory_order_relaxed);
+  s.stash_backlog = stash_[i < stash_.size() ? i : 0].backlog.load(
+      std::memory_order_relaxed);
   s.backlog = l.adopted_backlog.load(std::memory_order_relaxed) +
               lane_backlog(lane) + s.stash_backlog;
   s.drain_ns = l.drain_ns.load(std::memory_order_relaxed);
@@ -367,7 +340,24 @@ LaneStats FreeExecutor::lane_stats(int lane) const {
           tenant_enqueued_[cell].load(std::memory_order_relaxed);
     }
   }
+}
+
+LaneStats FreeExecutor::lane_stats(int lane) const {
+  LaneStats s;
+  read_exits(lane, s);
+  read_entries(lane, s);
   return s;
+}
+
+std::vector<LaneStats> FreeExecutor::all_lane_stats() const {
+  std::vector<LaneStats> rows(lanes_.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    read_exits(static_cast<int>(i), rows[i]);
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    read_entries(static_cast<int>(i), rows[i]);
+  }
+  return rows;
 }
 
 TenantStats FreeExecutor::tenant_stats(int tenant) const {
@@ -458,12 +448,7 @@ std::size_t AmortizedFreeExecutor::drain_freeable(int lane_idx,
   {
     LaneLock lock(l, daemon_hooked_);
     while (n < quota && f.nodes.size() > floor) {
-      void* p = f.nodes.front();
-      f.nodes.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane_idx, f.tags.front(), 1);
-        f.tags.pop_front();
-      }
+      void* p = pop_backlog(lane_idx, f.nodes, f.tags);
       routed_free(lane_idx, lane_idx, p);
       ++n;
     }
@@ -492,12 +477,7 @@ void AmortizedFreeExecutor::quiesce(int lane_idx) {
   Freeable& f = lane(lane_idx);
   LaneLock lock(lane_state(lane_idx), daemon_hooked_);
   while (!f.nodes.empty()) {
-    void* p = f.nodes.front();
-    f.nodes.pop_front();
-    if (multi_tenant_) {
-      note_tenant_drained(lane_idx, f.tags.front(), 1);
-      f.tags.pop_front();
-    }
+    void* p = pop_backlog(lane_idx, f.nodes, f.tags);
     timed_free(lane_idx, p);
   }
   f.size.store(0, std::memory_order_relaxed);
@@ -517,12 +497,7 @@ std::size_t AmortizedFreeExecutor::daemon_drain(int lane_idx,
   }
   LaneLock lock(lane_state(lane_idx), true);
   while (n < quota && f.nodes.size() > floor) {
-    void* p = f.nodes.front();
-    f.nodes.pop_front();
-    if (multi_tenant_) {
-      note_tenant_drained(lane_idx, f.tags.front(), 1);
-      f.tags.pop_front();
-    }
+    void* p = pop_backlog(lane_idx, f.nodes, f.tags);
     timed_free_as(lane_idx, daemon_lane, p);
     ++n;
   }
@@ -545,25 +520,23 @@ PoolingFreeExecutor::PoolingFreeExecutor(const SmrContext& ctx,
 
 void* PoolingFreeExecutor::alloc_node(int lane_idx, std::size_t size) {
   // Trials use one node size; recycle only for that size and fall back to
-  // the allocator for anything else.
-  std::size_t expected = 0;
-  common_size_.compare_exchange_strong(expected, size,
-                                       std::memory_order_relaxed);
+  // the allocator for anything else. The first call claims the size; the
+  // CAS runs only while it is unclaimed, so steady-state calls do a
+  // plain load of a line nobody writes.
+  std::size_t common = common_size_.load(std::memory_order_relaxed);
+  if (common == 0 && common_size_.compare_exchange_strong(
+                         common, size, std::memory_order_relaxed)) {
+    common = size;
+  }
   Freeable& f = lane(lane_idx);
-  if (size == common_size_.load(std::memory_order_relaxed) &&
+  if (size == common &&
       f.size.load(std::memory_order_relaxed) != 0) {
     LaneLock lock(lane_state(lane_idx), daemon_hooked_);
     if (!f.nodes.empty()) {
-      void* p = f.nodes.front();
-      f.nodes.pop_front();
-      if (multi_tenant_) {
-        note_tenant_drained(lane_idx, f.tags.front(), 1);
-        f.tags.pop_front();
-      }
+      void* p = pop_backlog(lane_idx, f.nodes, f.tags);
       f.size.store(f.nodes.size(), std::memory_order_relaxed);
-      pooled_allocs_.fetch_add(1, std::memory_order_relaxed);
-      freed_.fetch_add(1, std::memory_order_relaxed);  // left limbo via reuse
-      lane_state(lane_idx).drained.fetch_add(1, std::memory_order_relaxed);
+      f.recycled.fetch_add(1, std::memory_order_relaxed);
+      note_drained(lane_idx);  // left limbo via reuse
       return p;
     }
   }

@@ -61,6 +61,8 @@ class AmortizedFreeExecutor : public FreeExecutor {
     /// bundle is multi-tenant (empty otherwise).
     std::deque<std::uint32_t> tags;
     std::atomic<std::uint64_t> size{0};
+    /// Allocations the pooling executor served from `nodes`.
+    std::atomic<std::uint64_t> recycled{0};
   };
   Freeable& lane(int lane_idx);
   std::uint64_t lane_backlog(int lane_idx) const override;

@@ -87,11 +87,10 @@ class EraReclaimer final : public Reclaimer {
  public:
   EraReclaimer(EraVariant variant, const SmrContext& ctx,
                const SmrConfig& cfg, FreeExecutor* executor)
-      : Reclaimer(cfg),
+      : Reclaimer(cfg, executor),
         name_(era_variant_name(variant)),
         variant_(variant),
         ctx_(ctx),
-        executor_(executor),
         // Floor of 2 for the ds/ hand-over-hand slot alternation.
         nslots_(std::max<std::size_t>(cfg.hp_slots, 2)),
         epoch_freq_(std::max<std::size_t>(cfg.epoch_freq, 1)),
@@ -164,7 +163,6 @@ class EraReclaimer final : public Reclaimer {
 
   void retire_slot(int tid, void* p) override {
     EraThread& t = slot(tid);
-    retired_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t e = era_.load(std::memory_order_acquire);
     const std::uint64_t birth = static_cast<const NodeHeader*>(p)->birth_era;
     t.retired.push_back(RetiredNode{p, birth, e});
@@ -229,16 +227,10 @@ class EraReclaimer final : public Reclaimer {
     }
   }
 
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = era_.load(std::memory_order_relaxed) - 1;
-    return st;
+  std::uint64_t progress_beats() const override {
+    return era_.load(std::memory_order_relaxed) - 1;
   }
 
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return name_; }
   const char* family() const override { return "era"; }
 
@@ -354,18 +346,16 @@ class EraReclaimer final : public Reclaimer {
   void advance_era(int tid) {
     const std::uint64_t e =
         era_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    record_progress_beat(ctx_, tid, e, stats().pending);
+    record_progress_beat(*this, ctx_, tid, e);
   }
 
   const char* name_;
   EraVariant variant_;
   SmrContext ctx_;
-  FreeExecutor* executor_;
   std::size_t nslots_;
   std::size_t epoch_freq_;
   std::vector<EraThread> threads_;
   std::atomic<std::uint64_t> era_{1};
-  std::atomic<std::uint64_t> retired_{0};
 };
 
 }  // namespace

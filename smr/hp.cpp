@@ -43,9 +43,8 @@ class HpReclaimer final : public Reclaimer {
  public:
   HpReclaimer(const SmrContext& ctx, const SmrConfig& cfg,
               FreeExecutor* executor)
-      : Reclaimer(cfg),
+      : Reclaimer(cfg, executor),
         ctx_(ctx),
-        executor_(executor),
         nlanes_(cfg.slot_capacity()),
         // Floor of 2: the ds/ traversals alternate two slots so the
         // previous hop stays protected while the next one publishes.
@@ -83,20 +82,14 @@ class HpReclaimer final : public Reclaimer {
     }
   }
 
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = scans_.load(std::memory_order_relaxed);
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return "hp"; }
   const char* family() const override { return "hp"; }
 
  protected:
+  std::uint64_t progress_beats() const override {
+    return scans_.load(std::memory_order_relaxed);
+  }
+
   void begin_op_slot(int) override {}
 
   void end_op_slot(int slot_idx) override {
@@ -126,7 +119,6 @@ class HpReclaimer final : public Reclaimer {
 
   void retire_slot(int slot_idx, void* p) override {
     HpThread& t = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
     t.retired.push_back(p);
     if (t.retired.size() >= t.scan_at) scan(slot_idx, t);
   }
@@ -194,20 +186,18 @@ class HpReclaimer final : public Reclaimer {
     t.retired = std::move(keep);
     t.scan_at = next_scan_at(scan_threshold(), t.retired.size());
 
-    scans_.fetch_add(1, std::memory_order_relaxed);
-    const SmrStats st = stats();
-    record_progress_beat(ctx_, slot_idx, st.epochs_advanced, st.pending);
+    const std::uint64_t beat =
+        scans_.fetch_add(1, std::memory_order_relaxed) + 1;
+    record_progress_beat(*this, ctx_, slot_idx, beat);
     if (!bag.empty()) {
       executor_->hand_over(slot_idx, departing, std::move(bag));
     }
   }
 
   SmrContext ctx_;
-  FreeExecutor* executor_;
   std::size_t nlanes_;
   std::size_t nslots_;
   std::vector<HpThread> threads_;
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> scans_{0};
 };
 

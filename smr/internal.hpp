@@ -14,15 +14,17 @@ namespace emr::smr::internal {
 /// Records one scheme progress beat — an epoch advance, era tick, token
 /// rotation, or HP scan — into the trial instruments. Every scheme
 /// funnels through here so the cross-scheme timelines and garbage
-/// censuses stay comparable.
-inline void record_progress_beat(const SmrContext& ctx, int tid,
-                                 std::uint64_t beat, std::uint64_t pending) {
+/// censuses stay comparable. The pending count sums every lane, so it
+/// is computed only when a census is listening: beats run up to ~200 K
+/// times a second.
+inline void record_progress_beat(const Reclaimer& r, const SmrContext& ctx,
+                                 int tid, std::uint64_t beat) {
   if (ctx.timeline != nullptr && ctx.timeline->enabled()) {
     const std::uint64_t now = now_ns();
     ctx.timeline->record(tid, EventKind::kEpochAdvance, now, now);
   }
   if (ctx.garbage != nullptr && ctx.garbage->enabled()) {
-    ctx.garbage->record(beat, pending);
+    ctx.garbage->record(beat, r.stats().pending);
   }
 }
 

@@ -78,11 +78,10 @@ class NbrReclaimer final : public Reclaimer {
  public:
   NbrReclaimer(bool plus, const SmrContext& ctx, const SmrConfig& cfg,
                FreeExecutor* executor)
-      : Reclaimer(cfg),
+      : Reclaimer(cfg, executor),
         name_(plus ? "nbrplus" : "nbr"),
         plus_(plus),
         ctx_(ctx),
-        executor_(executor),
         epoch_freq_(std::max<std::size_t>(cfg.epoch_freq, 1)),
         threads_(cfg.slot_capacity()) {
     const std::size_t threshold = scan_threshold();
@@ -128,7 +127,6 @@ class NbrReclaimer final : public Reclaimer {
 
   void retire_slot(int tid, void* p) override {
     NbrThread& t = slot(tid);
-    retired_.fetch_add(1, std::memory_order_relaxed);
     t.retired.push_back(
         RetiredNode{p, era_.load(std::memory_order_acquire)});
     if (t.retired.size() < t.scan_at) return;
@@ -181,16 +179,10 @@ class NbrReclaimer final : public Reclaimer {
     }
   }
 
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = era_.load(std::memory_order_relaxed) - 1;
-    return st;
+  std::uint64_t progress_beats() const override {
+    return era_.load(std::memory_order_relaxed) - 1;
   }
 
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return name_; }
   const char* family() const override { return "nbr"; }
 
@@ -248,17 +240,15 @@ class NbrReclaimer final : public Reclaimer {
   void advance_era(int tid) {
     const std::uint64_t e =
         era_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    record_progress_beat(ctx_, tid, e, stats().pending);
+    record_progress_beat(*this, ctx_, tid, e);
   }
 
   const char* name_;
   bool plus_;
   SmrContext ctx_;
-  FreeExecutor* executor_;
   std::size_t epoch_freq_;
   std::vector<NbrThread> threads_;
   std::atomic<std::uint64_t> era_{1};
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> neutralized_{0};
 };
 

@@ -22,8 +22,9 @@ class PoolingFreeExecutor final : public AmortizedFreeExecutor {
   /// less than the amortized executor does.
   void on_op_end(int lane) override;
 
+  /// Allocations served from the pool, summed over lanes.
   std::uint64_t total_pooled_allocs() const {
-    return pooled_allocs_.load(std::memory_order_relaxed);
+    return lane_sum(freeable_, &Freeable::recycled);
   }
 
  protected:
@@ -35,7 +36,6 @@ class PoolingFreeExecutor final : public AmortizedFreeExecutor {
 
  private:
   std::atomic<std::size_t> common_size_{0};
-  std::atomic<std::uint64_t> pooled_allocs_{0};
 };
 
 }  // namespace emr::smr

@@ -6,8 +6,8 @@
 
 namespace emr::smr {
 
-Reclaimer::Reclaimer(const SmrConfig& cfg)
-    : slot_state_(cfg.slot_capacity()) {
+Reclaimer::Reclaimer(const SmrConfig& cfg, FreeExecutor* executor)
+    : executor_(executor), slot_state_(cfg.slot_capacity()) {
   free_slots_.reserve(slot_state_.size());
   // LIFO pop order hands out slot 0 first, matching the dense-tid layout
   // instruments and tests expect for a churn-free population.
@@ -60,26 +60,29 @@ void Reclaimer::deregister(ThreadHandle& h) {
   free_slots_.push_back(slot);
 }
 
+SmrStats Reclaimer::stats() const {
+  // Exits before entries: every free total_freed() saw was preceded by
+  // its node's retire, which the later total_retired() read therefore
+  // covers — freed <= retired and pending never wraps.
+  SmrStats st;
+  st.freed = executor_->total_freed();
+  st.retired = executor_->total_retired();
+  st.pending = st.retired - st.freed;
+  st.epochs_advanced = progress_beats();
+  return st;
+}
+
 SmrStats Reclaimer::stats_with_lanes() const {
-  // Lanes first, then the scheme-wide totals: lane_stats() reads each
-  // lane's exit counters (drained/flushed) before its entry counters
-  // (enqueued/stashed), so a concurrent op can only make a lane look
-  // slightly *behind* — derived gauges (backlog, stash_backlog) never go
-  // transiently negative. The scheme totals are read last for the same
-  // reason: they can only over-count completed work relative to the lane
-  // rows, never report work the lanes have not yet seen. The snapshot as
-  // a whole is still not a single atomic cut — rows taken while traffic
-  // is live may disagree by in-flight ops — and consumers (JSON
-  // emitters, the daemon tick) must treat it as monotone-consistent, not
-  // exact.
-  FreeExecutor& ex = const_cast<Reclaimer*>(this)->executor();
-  std::vector<LaneStats> lanes;
-  lanes.reserve(ex.lane_count());
-  for (std::size_t i = 0; i < ex.lane_count(); ++i) {
-    lanes.push_back(ex.lane_stats(static_cast<int>(i)));
+  // Totals are the row sums, so rows and totals agree exactly; the
+  // rows' exits-first read keeps freed <= retired here too.
+  SmrStats st;
+  st.lanes = executor_->all_lane_stats();
+  for (const LaneStats& l : st.lanes) {
+    st.freed += l.drained;
+    st.retired += l.retired;
   }
-  SmrStats st = stats();
-  st.lanes = std::move(lanes);
+  st.pending = st.retired - st.freed;
+  st.epochs_advanced = progress_beats();
   return st;
 }
 

@@ -142,9 +142,11 @@ struct NodeHeader {
 /// Per-registration-slot counters every FreeExecutor maintains. The
 /// FreeSchedule's adaptive controller samples them to size its drain
 /// quantum, and Reclaimer::stats_with_lanes() surfaces them to the
-/// harness. All fields are monotonic except `backlog`.
+/// harness. All fields are monotonic except `backlog`. Summed over
+/// lanes, `retired` and `drained` are SmrStats::retired and freed.
 struct LaneStats {
   std::uint64_t ops = 0;       // completed operations on this lane
+  std::uint64_t retired = 0;   // Reclaimer::retire calls on this lane
   std::uint64_t enqueued = 0;  // nodes handed over as reclaimable
   std::uint64_t drained = 0;   // nodes freed or pool-recycled
   std::uint64_t adopted = 0;   // nodes inherited from departing slots
@@ -273,6 +275,8 @@ class FreeSchedule {
   }
 };
 
+/// The reclamation ledger: lane sums read exits first (see
+/// Reclaimer::stats), so freed <= retired and pending never wraps.
 struct SmrStats {
   std::uint64_t retired = 0;
   std::uint64_t freed = 0;    // reached the allocator or was pool-recycled
@@ -282,8 +286,8 @@ struct SmrStats {
   /// wfe/nbr).
   std::uint64_t epochs_advanced = 0;
   /// Per-registration-slot executor counters. Filled only by
-  /// Reclaimer::stats_with_lanes(); plain stats() leaves it empty so
-  /// the epoch-advance hot path never allocates.
+  /// Reclaimer::stats_with_lanes(), whose retired/freed are the sums
+  /// of these rows; plain stats() leaves it empty and never allocates.
   std::vector<LaneStats> lanes;
 };
 
@@ -379,9 +383,14 @@ class FreeExecutor {
   /// Frees any backlog held for `lane`. Single-threaded use only.
   virtual void quiesce(int lane);
 
-  /// Nodes this executor has freed or recycled (== left limbo).
+  /// Nodes freed or recycled (== left limbo), summed over lanes. Acquire
+  /// loads: a retired count read afterwards covers every free seen here.
   std::uint64_t total_freed() const {
-    return freed_.load(std::memory_order_relaxed);
+    return lane_sum(lanes_, &LaneState::drained, std::memory_order_acquire);
+  }
+  /// Reclaimer::retire calls, summed over lanes (note_retired).
+  std::uint64_t total_retired() const {
+    return lane_sum(lanes_, &LaneState::retired);
   }
 
   // ---- home-flush routing (docs/FREE_SCHEDULES.md) ----
@@ -393,15 +402,21 @@ class FreeExecutor {
   bool home_flush() const { return home_flush_; }
 
   /// Blocks ever diverted into a stash, summed over lanes.
-  std::uint64_t total_stashed() const;
+  std::uint64_t total_stashed() const {
+    return lane_sum(lanes_, &LaneState::stashed);
+  }
   /// Blocks that ever left a stash (owner flush, daemon drain,
   /// departure adoption, quiesce), summed over lanes. At any quiescent
   /// point total_stashed() == total_flushed() + total_stash_backlog();
   /// after flush_all the backlog term is zero — the exact-ledger
   /// teardown check.
-  std::uint64_t total_flushed() const;
+  std::uint64_t total_flushed() const {
+    return lane_sum(stash_, &RemoteStash::flushed);
+  }
   /// Blocks currently sitting in stashes, summed over lanes.
-  std::uint64_t total_stash_backlog() const;
+  std::uint64_t total_stash_backlog() const {
+    return lane_sum(stash_, &RemoteStash::backlog);
+  }
 
   /// Registry hook: `lane`'s owner deregistered. Folds the lane's
   /// stash into its adoption queue so a departed lane never strands
@@ -419,6 +434,10 @@ class FreeExecutor {
 
   /// Snapshot of one lane's counters. Readable from any thread.
   LaneStats lane_stats(int lane) const;
+
+  /// Every lane's snapshot, all exit counters read before any entry
+  /// counter: summed rows keep freed <= retired across lanes.
+  std::vector<LaneStats> all_lane_stats() const;
 
   std::size_t lane_count() const { return lanes_.size(); }
 
@@ -442,13 +461,15 @@ class FreeExecutor {
         std::memory_order_relaxed);
   }
 
-  /// One retire on `lane` attributed to its current tenant. Called by
-  /// Reclaimer::retire() — a single relaxed RMW, and a plain branch
-  /// when single-tenant.
-  void note_tenant_retired(int lane) {
-    if (!multi_tenant_) return;
-    tenant_retired_[tenant_cell(lane, lane_tenant(lane))].fetch_add(
+  /// One retire on `lane`, counted on the lane's own line (and to its
+  /// tenant when multi-tenant). Called by Reclaimer::retire().
+  void note_retired(int lane) {
+    lanes_[static_cast<std::size_t>(lane)].retired.fetch_add(
         1, std::memory_order_relaxed);
+    if (multi_tenant_) {
+      tenant_retired_[tenant_cell(lane, lane_tenant(lane))].fetch_add(
+          1, std::memory_order_relaxed);
+    }
   }
 
   /// One tenant's totals summed over lanes. Readable from any thread;
@@ -500,6 +521,9 @@ class FreeExecutor {
     /// every adoption push (the PR 10 false-sharing audit).
     alignas(64) std::atomic<std::uint32_t> tenant{0};
     std::atomic<std::uint64_t> ops{0};
+    /// The ledger, lane-local so no per-op path writes a bundle-wide
+    /// line: retires on this lane, and nodes freed or recycled for it.
+    std::atomic<std::uint64_t> retired{0};
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> drained{0};
     std::atomic<std::uint64_t> adopted_total{0};
@@ -560,6 +584,28 @@ class FreeExecutor {
   /// free, promising the backend the cross-lane cost was already paid
   /// in bulk.
   void timed_hint_free(int stats_lane, int alloc_lane, void* p);
+
+  /// One node left limbo, counted on `lane`. Release pairs with
+  /// total_freed()'s acquire loads: whoever sees this free also sees
+  /// the node's retire count.
+  void note_drained(int lane) {
+    lane_state(lane).drained.fetch_add(1, std::memory_order_release);
+  }
+
+  /// One counter summed over a per-lane array (lanes_, stash_, ...).
+  template <typename Row>
+  static std::uint64_t lane_sum(
+      const std::vector<Row>& rows, std::atomic<std::uint64_t> Row::*counter,
+      std::memory_order order = std::memory_order_relaxed) {
+    std::uint64_t t = 0;
+    for (const Row& r : rows) t += (r.*counter).load(order);
+    return t;
+  }
+
+  /// Pops the oldest node of a lane backlog (`nodes` with its parallel
+  /// tenant `tags`), settling the tenant's drain count.
+  void* pop_backlog(int lane, std::deque<void*>& nodes,
+                    std::deque<std::uint32_t>& tags);
 
   /// Frees up to `quota` nodes from the lane's adoption queue; returns
   /// how many it freed. Takes the lane lock internally when hooked.
@@ -630,6 +676,11 @@ class FreeExecutor {
   LaneState& lane_state(int lane);
   const LaneState& lane_state(int lane) const;
 
+  /// The two halves of a lane snapshot: exit counters (drained,
+  /// flushed), then entry counters and gauges.
+  void read_exits(int lane, LaneStats& s) const;
+  void read_entries(int lane, LaneStats& s) const;
+
   /// Executor-specific backlog beyond the adoption queue (the
   /// amortized executor's freeable list).
   virtual std::uint64_t lane_backlog(int lane) const {
@@ -653,7 +704,6 @@ class FreeExecutor {
   std::atomic<bool> teardown_{false};
   std::vector<LaneState> lanes_;
   std::vector<RemoteStash> stash_;
-  std::atomic<std::uint64_t> freed_{0};
   // lane-major [lane][tenant] grids, allocated only when multi-tenant.
   std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_retired_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_enqueued_;
@@ -755,7 +805,7 @@ class ThreadHandle {
 ///    and quiesces it, leaving stats().pending == 0. It is idempotent
 ///    and runs again from the destructor.
 ///  - stats() may be called concurrently with operations; counters are
-///    monotonic and may be momentarily inconsistent with each other.
+///    monotonic and may lag each other, but freed never exceeds retired.
 class Reclaimer {
  public:
   virtual ~Reclaimer() = default;
@@ -796,9 +846,8 @@ class Reclaimer {
 
   void retire(ThreadHandle& h, void* p) {
     const int slot = check(h);
-    // Attribute the debt to the lane's current tenant before it enters
-    // limbo (a plain branch when single-tenant).
-    executor().note_tenant_retired(slot);
+    // Count the debt (and its tenant) before it enters limbo.
+    executor_->note_retired(slot);
     retire_slot(slot, p);
   }
 
@@ -825,14 +874,17 @@ class Reclaimer {
   /// inside an operation (trial teardown, tests).
   virtual void flush_all() = 0;
 
-  virtual SmrStats stats() const = 0;
+  /// The ledger (executor lane sums) plus the scheme's progress-beat
+  /// count. Sums every lane — meant for samplers, not per-op paths.
+  SmrStats stats() const;
 
   /// stats() plus the executor's per-lane counters (SmrStats::lanes):
-  /// one LaneStats per registration slot. Costs a vector allocation —
-  /// meant for instruments and traces, not hot paths.
+  /// one LaneStats per registration slot, with retired/freed summed
+  /// from those rows. Costs a vector allocation — meant for
+  /// instruments and traces, not hot paths.
   SmrStats stats_with_lanes() const;
 
-  virtual FreeExecutor& executor() = 0;
+  FreeExecutor& executor() const { return *executor_; }
   virtual const char* name() const = 0;
 
   /// Implementation family: "ebr", "token", "hp", "era", or "nbr".
@@ -858,7 +910,10 @@ class Reclaimer {
   }
 
  protected:
-  explicit Reclaimer(const SmrConfig& cfg);
+  Reclaimer(const SmrConfig& cfg, FreeExecutor* executor);
+
+  /// Scheme-specific progress beats (SmrStats::epochs_advanced).
+  virtual std::uint64_t progress_beats() const = 0;
 
   // Per-slot entry points the scheme TUs implement. `slot` is the dense
   // lane index the public handle API resolved; one thread drives a slot
@@ -892,6 +947,8 @@ class Reclaimer {
   /// the free schedule receives the same beat via
   /// FreeSchedule::on_population.
   virtual void on_population_change(std::size_t live) { (void)live; }
+
+  FreeExecutor* const executor_;
 
  private:
   friend class ThreadHandle;

@@ -57,10 +57,9 @@ class TokenReclaimer final : public Reclaimer {
  public:
   TokenReclaimer(const TokenOptions& opt, const SmrContext& ctx,
                  const SmrConfig& cfg, FreeExecutor* executor)
-      : Reclaimer(cfg),
+      : Reclaimer(cfg, executor),
         opt_(opt),
         ctx_(ctx),
-        executor_(executor),
         nlanes_(static_cast<int>(cfg.slot_capacity())),
         slots_(cfg.slot_capacity()) {
     seal_threshold_.store(compute_seal_threshold(),
@@ -83,21 +82,15 @@ class TokenReclaimer final : public Reclaimer {
     }
   }
 
-  SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
-    st.epochs_advanced = passes_.load(std::memory_order_relaxed) /
-                         static_cast<std::uint64_t>(nlanes_);
-    return st;
-  }
-
-  FreeExecutor& executor() override { return *executor_; }
   const char* name() const override { return opt_.name; }
   const char* family() const override { return "token"; }
 
  protected:
+  std::uint64_t progress_beats() const override {
+    return passes_.load(std::memory_order_relaxed) /
+           static_cast<std::uint64_t>(nlanes_);
+  }
+
   void begin_op_slot(int) override {}
 
   void end_op_slot(int slot_idx) override {
@@ -127,7 +120,6 @@ class TokenReclaimer final : public Reclaimer {
 
   void retire_slot(int slot_idx, void* p) override {
     TokenSlot& s = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t threshold = seal_threshold();
     std::lock_guard<std::mutex> lock(s.mu);
     s.bag.push_back(p);
@@ -251,7 +243,7 @@ class TokenReclaimer final : public Reclaimer {
         passes_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (p % static_cast<std::uint64_t>(nlanes_) == 0) {
       const std::uint64_t rotation = p / static_cast<std::uint64_t>(nlanes_);
-      record_progress_beat(ctx_, slot_idx, rotation, stats().pending);
+      record_progress_beat(*this, ctx_, slot_idx, rotation);
     }
   }
 
@@ -307,7 +299,6 @@ class TokenReclaimer final : public Reclaimer {
 
   TokenOptions opt_;
   SmrContext ctx_;
-  FreeExecutor* executor_;
   int nlanes_;
   std::vector<TokenSlot> slots_;
   std::atomic<std::size_t> seal_threshold_{1};
@@ -315,7 +306,6 @@ class TokenReclaimer final : public Reclaimer {
   // version 0.
   std::atomic<std::uint64_t> holder_{0};
   std::atomic<std::uint64_t> passes_{0};
-  std::atomic<std::uint64_t> retired_{0};
 };
 
 }  // namespace

@@ -501,9 +501,11 @@ TEST(FreeSchedule, LaneStatsSurfaceThroughReclaimerStats) {
   }
   const smr::SmrStats st = w.r().stats_with_lanes();
   ASSERT_EQ(st.lanes.size(), w.r().slot_capacity());
-  std::uint64_t ops = 0, enqueued = 0, drained = 0, backlog = 0;
+  std::uint64_t ops = 0, retired = 0, enqueued = 0, drained = 0,
+                backlog = 0;
   for (const smr::LaneStats& l : st.lanes) {
     ops += l.ops;
+    retired += l.retired;
     enqueued += l.enqueued;
     drained += l.drained;
     backlog += l.backlog;
@@ -513,56 +515,85 @@ TEST(FreeSchedule, LaneStatsSurfaceThroughReclaimerStats) {
   EXPECT_EQ(enqueued - drained, backlog);
   EXPECT_EQ(backlog, w.r().executor().backlog());
   EXPECT_EQ(drained, w.r().executor().total_freed());
+  // The snapshot's totals are the sums of its own rows.
+  EXPECT_EQ(retired, 64u);
+  EXPECT_EQ(retired, st.retired);
+  EXPECT_EQ(drained, st.freed);
+  EXPECT_EQ(st.pending, st.retired - st.freed);
   w.r().flush_all();
 }
 
 // ----------------------------------------------------- TSAN stress
 
 // Lane-stats counters under fire: workers churn registration and drive
-// retires through an adaptive executor while a reader thread samples
-// stats_with_lanes() and the schedule's quota. ci/check.sh runs this
-// case in the TSAN tree.
+// retires through one executor per scheme family while a reader thread
+// samples stats(), stats_with_lanes() and the schedule's quota. Every
+// sample must keep the ledger untorn (freed <= retired, pending ==
+// retired - freed), and after teardown the per-lane retire counts must
+// add up to every retire made across the slot recycling. ci/check.sh
+// runs this case in the TSAN tree.
 TEST(FreeScheduleConcurrent, LaneStatsRaceFreeUnderChurn) {
   constexpr int kWorkers = 4;
-  World w("ibr_adaptive", [] {
-    smr::SmrConfig cfg = small_config(/*batch=*/16, /*drain=*/4);
-    cfg.num_threads = kWorkers;
-    return cfg;
-  }());
+  constexpr int kRounds = 20;
+  constexpr int kRetiresPerRound = 200;
+  for (const char* name :
+       {"debra_af", "token_af", "hp_af", "ibr_adaptive", "nbr_af"}) {
+    World w(name, [] {
+      smr::SmrConfig cfg = small_config(/*batch=*/16, /*drain=*/4);
+      cfg.num_threads = kWorkers;
+      return cfg;
+    }());
 
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const smr::SmrStats st = w.r().stats_with_lanes();
-      smr::LaneStats busiest;
-      for (const smr::LaneStats& l : st.lanes) {
-        if (l.backlog >= busiest.backlog) busiest = l;
-      }
-      (void)w.bundle.schedule->drain_quota(busiest);
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kWorkers; ++t) {
-    workers.emplace_back([&] {
-      for (int round = 0; round < 20; ++round) {
-        smr::ThreadHandle h = w.r().register_thread();
-        for (int i = 0; i < 200; ++i) {
-          smr::Guard g(h);
-          g.retire(w.r().alloc_node(h, 64));
+    std::atomic<bool> stop{false};
+    std::uint64_t samples = 0, torn = 0;
+    std::thread reader([&] {
+      const auto untorn = [](const smr::SmrStats& st) {
+        return st.freed <= st.retired &&
+               st.pending == st.retired - st.freed;
+      };
+      while (!stop.load(std::memory_order_acquire)) {
+        const smr::SmrStats st = w.r().stats_with_lanes();
+        smr::LaneStats busiest;
+        for (const smr::LaneStats& l : st.lanes) {
+          if (l.backlog >= busiest.backlog) busiest = l;
         }
-      }  // deregister mid-flight: departure scans + adoption hand-offs
+        (void)w.bundle.schedule->drain_quota(busiest);
+        samples += 2;
+        torn += untorn(st) ? 0 : 1;
+        torn += untorn(w.r().stats()) ? 0 : 1;
+        std::this_thread::yield();
+      }
     });
-  }
-  for (std::thread& t : workers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
 
-  w.r().flush_all();
-  EXPECT_EQ(w.r().stats().pending, 0u);
-  EXPECT_EQ(w.r().executor().backlog(), 0u);
-  EXPECT_EQ(w.allocator.live(), 0u);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kWorkers; ++t) {
+      workers.emplace_back([&] {
+        for (int round = 0; round < kRounds; ++round) {
+          smr::ThreadHandle h = w.r().register_thread();
+          for (int i = 0; i < kRetiresPerRound; ++i) {
+            smr::Guard g(h);
+            g.retire(w.r().alloc_node(h, 64));
+          }
+        }  // deregister mid-flight: departure scans + adoption hand-offs
+      });
+    }
+    for (std::thread& t : workers) t.join();
+    stop.store(true, std::memory_order_release);
+    reader.join();
+
+    EXPECT_GT(samples, 0u) << name;
+    EXPECT_EQ(torn, 0u) << name << ": " << torn << " of " << samples
+                        << " stats samples had freed > retired";
+    w.r().flush_all();
+    const smr::SmrStats st = w.r().stats();
+    EXPECT_EQ(st.retired,
+              std::uint64_t{kWorkers} * kRounds * kRetiresPerRound)
+        << name;
+    EXPECT_EQ(st.freed, st.retired) << name;
+    EXPECT_EQ(st.pending, 0u) << name;
+    EXPECT_EQ(w.r().executor().backlog(), 0u) << name;
+    EXPECT_EQ(w.allocator.live(), 0u) << name;
+  }
 }
 
 }  // namespace

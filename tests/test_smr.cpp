@@ -152,14 +152,18 @@ TEST(SmrPooling, PoolRecyclesRetiredNodes) {
       dynamic_cast<smr::PoolingFreeExecutor*>(&w.r().executor());
   ASSERT_NE(pool, nullptr);
   const std::uint64_t allocs_before = w.allocator.allocs();
+  const std::uint64_t pooled_before = pool->total_pooled_allocs();
   for (int i = 0; i < 16; ++i) {
     w.r().begin_op(w.h(0));
     void* p = w.r().alloc_node(w.h(0), 64);
     w.r().retire(w.h(0), p);
     w.r().end_op(w.h(0));
   }
-  EXPECT_GT(pool->total_pooled_allocs(), 0u);
+  const std::uint64_t pooled = pool->total_pooled_allocs() - pooled_before;
+  EXPECT_GT(pooled, 0u);
   EXPECT_LT(w.allocator.allocs() - allocs_before, 16u);
+  // Every node came from exactly one source: the pool or the allocator.
+  EXPECT_EQ(pooled + (w.allocator.allocs() - allocs_before), 16u);
   w.r().flush_all();
   EXPECT_EQ(w.allocator.live(), 0u);
 }
