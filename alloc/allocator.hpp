@@ -50,6 +50,24 @@ struct AllocStats {
   std::uint64_t peak_bytes_mapped = 0;  // == bytes_mapped (monotone model)
 };
 
+/// The counter deltas between two snapshots, `after - before`. The peak
+/// is a high-water mark, not a counter, so the later snapshot's stands.
+inline AllocStats operator-(const AllocStats& after,
+                            const AllocStats& before) {
+  AllocStats d;
+  d.totals.n_alloc = after.totals.n_alloc - before.totals.n_alloc;
+  d.totals.n_free = after.totals.n_free - before.totals.n_free;
+  d.totals.n_remote_free =
+      after.totals.n_remote_free - before.totals.n_remote_free;
+  d.totals.n_flush = after.totals.n_flush - before.totals.n_flush;
+  d.totals.ns_in_free = after.totals.ns_in_free - before.totals.ns_in_free;
+  d.totals.ns_in_flush = after.totals.ns_in_flush - before.totals.ns_in_flush;
+  d.totals.ns_in_lock = after.totals.ns_in_lock - before.totals.ns_in_lock;
+  d.bytes_mapped = after.bytes_mapped - before.bytes_mapped;
+  d.peak_bytes_mapped = after.peak_bytes_mapped;
+  return d;
+}
+
 class Allocator {
  public:
   virtual ~Allocator() = default;

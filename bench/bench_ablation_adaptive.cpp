@@ -69,35 +69,30 @@ int run_smoke() {
   // 100 ms trial jitters a few percent, and the schedule ordering below
   // is decided on sums over 10 reclaimers x 2 seeds, which averages
   // that jitter down far enough for the slack margin to be ~3 sigma.
-  const std::uint64_t kSeeds[] = {42, 1042};
   std::uint64_t peak_sum[3] = {0, 0, 0};
   for (const std::string& base : smr::experiment2_reclaimers()) {
     for (int s = 0; s < 3; ++s) {
       const std::string name = base + kSuffixes[s];
-      for (const std::uint64_t seed : kSeeds) {
-        harness::TrialConfig cfg = smoke_config(name);
-        cfg.seed = seed;
-        harness::Trial trial(cfg);
-        const harness::TrialResult r = trial.run();
-        const smr::SmrStats st = trial.reclaimer().stats();
-        const std::uint64_t backlog =
-            trial.reclaimer().executor().backlog();
-        const std::uint64_t peak = trial.garbage().peak_garbage();
-        peak_sum[s] += peak;
-        const bool good = r.ops > 0 && r.threads_churned > 0 &&
-                          st.pending == 0 && backlog == 0;
-        std::printf(
-            "%-16s sched=%-8s seed=%-4llu ops=%-8llu peak_garbage=%-8llu "
-            "peak_backlog=%-8llu max_quota=%-3llu %s\n",
-            name.c_str(), trial.schedule().name(),
-            static_cast<unsigned long long>(seed),
-            static_cast<unsigned long long>(r.ops),
-            static_cast<unsigned long long>(peak),
-            static_cast<unsigned long long>(r.peak_backlog),
-            static_cast<unsigned long long>(r.max_drain_quota),
-            good ? "ok" : "FAILED");
-        ok &= good;
-      }
+      harness::run_trials(
+          smoke_config(name), kSmokeSeeds,
+          [&](harness::Trial& trial, const harness::TrialResult& r,
+              bool accounted) {
+            const std::uint64_t peak = trial.garbage().peak_garbage();
+            peak_sum[s] += peak;
+            const bool good = accounted && r.threads_churned > 0;
+            std::printf(
+                "%-16s sched=%-8s seed=%-4llu ops=%-8llu "
+                "peak_garbage=%-8llu peak_backlog=%-8llu max_quota=%-3llu "
+                "%s\n",
+                name.c_str(), trial.schedule().name(),
+                static_cast<unsigned long long>(trial.config().seed),
+                static_cast<unsigned long long>(r.ops),
+                static_cast<unsigned long long>(peak),
+                static_cast<unsigned long long>(r.peak_backlog),
+                static_cast<unsigned long long>(r.max_drain_quota),
+                good ? "ok" : "FAILED");
+            ok &= good;
+          });
     }
   }
 
@@ -158,11 +153,12 @@ int main(int argc, char** argv) {
         cfg.nthreads = nthreads;
         cfg.reclaimer = reclaimer_base + suffix;
         cfg.churn_interval_ms = churn_ms;
-        harness::Trial trial(cfg);
-        const harness::TrialResult r = trial.run();
-        const std::uint64_t peak = trial.garbage().peak_garbage();
+        const harness::AggregateResult c =
+            harness::run_trials(cfg, {cfg.seed});
+        const harness::TrialResult& r = c.last;
+        const std::uint64_t peak = c.peak_garbage;
         table.add_row({std::to_string(nthreads), std::to_string(churn_ms),
-                       cfg.reclaimer, trial.schedule().name(),
+                       cfg.reclaimer, c.schedule,
                        harness::fixed(r.mops, 2), std::to_string(peak),
                        std::to_string(r.peak_backlog),
                        std::to_string(r.max_drain_quota)});

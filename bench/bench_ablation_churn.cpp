@@ -42,19 +42,13 @@ int run_smoke() {
       cfg.churn_interval_ms = 10;
       cfg.smr.batch_size = 256;
       cfg.smr.epoch_freq = 32;
-      harness::Trial trial(cfg);
-      const harness::TrialResult r = trial.run();
-      const smr::SmrStats st = trial.reclaimer().stats();
-      const std::uint64_t backlog = trial.reclaimer().executor().backlog();
-      const bool good = r.ops > 0 && r.threads_churned > 0 &&
-                        st.pending == 0 && backlog == 0;
-      std::printf(
-          "%-12s ops=%-8llu churned=%-3llu pending=%-4llu backlog=%-4llu "
-          "%s\n",
-          name.c_str(), static_cast<unsigned long long>(r.ops),
-          static_cast<unsigned long long>(r.threads_churned),
-          static_cast<unsigned long long>(st.pending),
-          static_cast<unsigned long long>(backlog), good ? "ok" : "FAILED");
+      const harness::AggregateResult c = harness::run_trials(cfg);
+      const harness::TrialResult& r = c.last;
+      const bool good = c.accounted && r.threads_churned > 0;
+      std::printf("%-12s ops=%-8llu churned=%-3llu %s\n", name.c_str(),
+                  static_cast<unsigned long long>(r.ops),
+                  static_cast<unsigned long long>(r.threads_churned),
+                  good ? "ok" : "FAILED");
       ok &= good;
     }
   }
@@ -94,9 +88,9 @@ int main(int argc, char** argv) {
       harness::TrialConfig cfg = base;
       cfg.reclaimer = reclaimer;
       cfg.churn_interval_ms = churn_ms;
-      harness::Trial trial(cfg);
-      const harness::TrialResult r = trial.run();
-      const std::uint64_t peak = trial.garbage().peak_garbage();
+      const harness::AggregateResult c = harness::run_trials(cfg, {cfg.seed});
+      const harness::TrialResult& r = c.last;
+      const std::uint64_t peak = c.peak_garbage;
       table.add_row({std::to_string(churn_ms), reclaimer,
                      harness::fixed(r.mops, 2),
                      std::to_string(r.threads_churned),

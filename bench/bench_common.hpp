@@ -73,6 +73,7 @@
 #include <vector>
 
 #include "core/env.hpp"
+#include "core/latency.hpp"
 #include "harness/report.hpp"
 #include "harness/workload.hpp"
 
@@ -133,6 +134,87 @@ inline void maybe_write_json(const harness::Table& table,
   } else {
     std::printf("bench: failed to write JSON to %s\n", path.c_str());
   }
+}
+
+/// The calibrated tail cell the latency, queue and homeflush smokes
+/// share: 8 workers on the modeled jemalloc for 150 ms, latency
+/// recorded. The tail gap runs through the modeled remote-free cost: a
+/// sealed 128-node bag freed whole inside one op crosses the 32-slot
+/// tcache four times, paying ~batch x penalty (~64 us) in that op, while
+/// an _af op never pays more than one 16-block flush (~8 us). Batch 128
+/// keeps drains frequent enough to sit above the p99.9 rank. The gates
+/// are tuned to this exact penalty, so startup calibration must not
+/// substitute the host's measured cache-line cost. The permissive
+/// drain_max leaves the _adaptive/_latency quantum to the controllers
+/// (ns-per-free cap, tail feedback), not the default ceiling.
+inline harness::TrialConfig tail_cell_config(const std::string& reclaimer) {
+  harness::TrialConfig cfg;
+  cfg.reclaimer = reclaimer;
+  cfg.allocator = "je";
+  cfg.nthreads = 8;
+  cfg.measure_ms = 150;
+  cfg.enable_latency = true;
+  cfg.smr.batch_size = 128;
+  cfg.smr.epoch_freq = 32;
+  cfg.alloc.tcache_cap = 32;
+  cfg.alloc.remote_free_penalty_ns = 500;
+  cfg.alloc.remote_penalty_explicit = true;
+  cfg.smr.drain_max = 256;
+  cfg.smr.latency_target_us = 15;
+  return cfg;
+}
+
+/// The tail cell on the pipeline workload. The msqueue is bounded at
+/// 8192 nodes so a producer burst cannot balloon the live set: a full
+/// producer side yields until the consumers catch up, the backpressure
+/// a real pipeline stage would see.
+inline harness::TrialConfig tail_pipeline_config(const std::string& reclaimer,
+                                                 int producers) {
+  harness::TrialConfig cfg = tail_cell_config(reclaimer);
+  cfg.workload = "pipeline";
+  cfg.ds = "msqueue";
+  cfg.producers = producers;
+  cfg.queue_cap = 8192;
+  return cfg;
+}
+
+/// The two seeds every multi-seed smoke cell folds.
+inline const std::vector<std::uint64_t> kSmokeSeeds = {42, 1042};
+
+/// The q-quantile of `h` in microseconds.
+inline double pct_us(const LatencyHistogram& h, double q) {
+  return latency_percentile(h, q) / 1000.0;
+}
+
+/// One figure cell: `cfg` once per seed, folded by harness::run_trials,
+/// with one line per seed — the p99.9 of every op kind that ran, the
+/// stash count and the garbage-census peak.
+inline harness::AggregateResult run_cell(
+    const std::string& label, const harness::TrialConfig& cfg,
+    const std::vector<std::uint64_t>& seeds) {
+  return harness::run_trials(
+      cfg, seeds,
+      [&](harness::Trial& trial, const harness::TrialResult& r,
+          bool accounted) {
+        static const char* const kKinds[] = {"ins", "ers", "lkp", "enq",
+                                             "deq"};
+        std::string tails;
+        for (int k = 0; k < harness::Op::kNumKinds; ++k) {
+          if (r.kind_lat[k].ops == 0) continue;
+          tails += std::string(kKinds[k]) + "_p999=" +
+                   harness::fixed(r.kind_lat[k].p999_ns / 1000.0, 1) + "us ";
+        }
+        std::printf(
+            "%-20s sched=%-8s seed=%-4llu ops=%-8llu mops=%-6s %s"
+            "stashed=%-8llu peak_garbage=%-8llu %s\n",
+            label.c_str(), trial.schedule().name(),
+            static_cast<unsigned long long>(trial.config().seed),
+            static_cast<unsigned long long>(r.ops),
+            harness::fixed(r.mops, 2).c_str(), tails.c_str(),
+            static_cast<unsigned long long>(r.stashed),
+            static_cast<unsigned long long>(trial.garbage().peak_garbage()),
+            accounted ? "ok" : "FAILED");
+      });
 }
 
 inline std::string describe(const harness::TrialConfig& cfg) {

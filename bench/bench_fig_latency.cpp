@@ -23,10 +23,10 @@
 // p99.9 >= 2x the _af p99.9 while their mops differ by < 20%, and
 // (c) the _latency schedule holds p99.9 inside 2x its configured
 // target — the band an uncontrolled adaptive burst misses.
+#include <cmath>
 #include <cstring>
 
 #include "bench_common.hpp"
-#include "core/latency.hpp"
 #include "smr/factory.hpp"
 
 using namespace emr;
@@ -36,120 +36,40 @@ namespace {
 
 const char* kSuffixes[] = {"", "_af", "_adaptive", "_latency"};
 
-/// One (reclaimer-name, seed-set) cell: seeds merge into one histogram
-/// (percentiles over the union) and mops averages.
-struct Cell {
-  LatencyHistogram hist;
-  // Per-op-kind split (insert/erase/lookup channels): the batch drain
-  // rides the erase path — where retire lives — so its tail dwarfs the
-  // read-side ones.
-  LatencyHistogram ins_hist;
-  LatencyHistogram ers_hist;
-  LatencyHistogram lkp_hist;
-  std::string schedule;
-  double mops_sum = 0;
-  int runs = 0;
-  bool accounted = true;  // ops > 0, pending == 0, empty backlog
-  // Hardware-realism metadata (identical across seeds): the effective
-  // remote-free penalty, the clock the recorders ran on, the pin mode.
-  std::uint64_t penalty_ns = 0;
-  std::string clock = "steady";
-  std::string pin = "off";
+const std::vector<std::string> kColumns = {
+    "threads",     "reclaimer",   "schedule",    "mops",
+    "p50_us",      "p99_us",      "p999_us",     "max_us",
+    "ins_p999_us", "ers_p999_us", "lkp_p999_us", "ops",
+    "target_us",   "penalty_ns",  "clock",       "pin"};
 
-  double mops() const { return runs > 0 ? mops_sum / runs : 0.0; }
-  double p999_us() const { return latency_percentile(hist, 0.999) / 1000.0; }
-};
-
-constexpr std::uint64_t kSmokeTargetUs = 15;
-
+/// The shared tail cell on a dgt set of 4096 keys.
 harness::TrialConfig smoke_config(const std::string& reclaimer) {
-  harness::TrialConfig cfg;
+  harness::TrialConfig cfg = tail_cell_config(reclaimer);
   cfg.ds = "dgt";
-  cfg.reclaimer = reclaimer;
-  cfg.allocator = "je";
-  cfg.nthreads = 8;  // the acceptance gate's ">= 8 threads" cell
   cfg.keyrange = 4096;
-  cfg.measure_ms = 150;
-  cfg.enable_latency = true;
-  // The tail gap runs through the modeled remote-free cost: a sealed
-  // 128-node bag freed whole inside one op crosses the 32-slot tcache
-  // four times, paying ~batch x penalty (~64 us) in that op, while an
-  // _af op never pays more than one 16-block flush (~8 us). Batch 128
-  // keeps drains frequent enough (one per ~500 merged ops at a ~25%
-  // erase-hit rate) to sit above the p99.9 rank.
-  cfg.smr.batch_size = 128;
-  cfg.smr.epoch_freq = 32;
-  cfg.alloc.tcache_cap = 32;
-  cfg.alloc.remote_free_penalty_ns = 500;
-  // The gates below are tuned to this exact penalty: keep startup
-  // calibration from substituting the host's measured cache-line cost.
-  cfg.alloc.remote_penalty_explicit = true;
-  // A permissive clamp so the _adaptive/_latency quantum is decided by
-  // the controllers (ns-per-free cap, tail feedback), not the default
-  // drain_max ceiling.
-  cfg.smr.drain_max = 256;
-  cfg.smr.latency_target_us = kSmokeTargetUs;
   return cfg;
 }
 
-Cell run_cell(const std::string& name, const std::uint64_t* seeds,
-              int nseeds, harness::Table* table) {
-  Cell cell;
-  for (int i = 0; i < nseeds; ++i) {
-    harness::TrialConfig cfg = smoke_config(name);
-    cfg.seed = seeds[i];
-    harness::Trial trial(cfg);
-    const harness::TrialResult r = trial.run();
-    const bool good = r.ops > 0 && r.lat_ops > 0 &&
-                      trial.reclaimer().stats().pending == 0 &&
-                      trial.reclaimer().executor().backlog() == 0;
-    cell.accounted &= good;
-    cell.schedule = trial.schedule().name();
-    cell.penalty_ns = r.remote_penalty_ns;
-    cell.clock = r.clock_source;
-    cell.pin = r.pin_mode;
-    cell.hist.add(trial.latency().merged());
-    cell.ins_hist.add(trial.latency().merged_channel(harness::Op::kInsert));
-    cell.ers_hist.add(trial.latency().merged_channel(harness::Op::kErase));
-    cell.lkp_hist.add(trial.latency().merged_channel(harness::Op::kLookup));
-    cell.mops_sum += r.mops;
-    ++cell.runs;
-    std::printf(
-        "%-16s sched=%-8s seed=%-4llu ops=%-8llu mops=%-6s p50=%-8s "
-        "p99=%-8s p999=%-8s max=%-9s %s\n",
-        name.c_str(), trial.schedule().name(),
-        static_cast<unsigned long long>(cfg.seed),
-        static_cast<unsigned long long>(r.ops),
-        harness::fixed(r.mops, 2).c_str(),
-        (harness::fixed(r.lat_p50_ns / 1000.0, 1) + "us").c_str(),
-        (harness::fixed(r.lat_p99_ns / 1000.0, 1) + "us").c_str(),
-        (harness::fixed(r.lat_p999_ns / 1000.0, 1) + "us").c_str(),
-        (harness::fixed(static_cast<double>(r.lat_max_ns) / 1000.0, 1) +
-         "us")
-            .c_str(),
-        good ? "ok" : "FAILED");
-  }
-  if (table != nullptr) {
-    const LatencyHistogram& h = cell.hist;
-    table->add_row(
-        {"8", name, cell.schedule, harness::fixed(cell.mops(), 3),
-         harness::fixed(latency_percentile(h, 0.50) / 1000.0, 2),
-         harness::fixed(latency_percentile(h, 0.99) / 1000.0, 2),
-         harness::fixed(latency_percentile(h, 0.999) / 1000.0, 2),
-         harness::fixed(static_cast<double>(h.max_ns) / 1000.0, 2),
-         harness::fixed(latency_percentile(cell.ins_hist, 0.999) / 1000.0,
-                        2),
-         harness::fixed(latency_percentile(cell.ers_hist, 0.999) / 1000.0,
-                        2),
-         harness::fixed(latency_percentile(cell.lkp_hist, 0.999) / 1000.0,
-                        2),
-         std::to_string(h.count),
-         std::to_string(name.find("_latency") != std::string::npos
-                            ? kSmokeTargetUs
-                            : 0),
-         std::to_string(cell.penalty_ns), cell.clock, cell.pin});
-  }
-  return cell;
+/// One row per cell: percentiles over the seeds' merged histograms. The
+/// per-op-kind split matters because the batch drain rides the erase
+/// path — where retire lives — so its tail dwarfs the read-side ones.
+void add_row(harness::Table& table, const harness::TrialConfig& cfg,
+             const harness::AggregateResult& c) {
+  const bool steered = cfg.reclaimer.find("_latency") != std::string::npos;
+  auto p999 = [&](harness::Op::Kind k) {
+    return harness::fixed(pct_us(c.kind_lat[k], 0.999), 2);
+  };
+  table.add_row(
+      {std::to_string(cfg.nthreads), cfg.reclaimer, c.schedule,
+       harness::fixed(c.avg_mops, 3), harness::fixed(pct_us(c.lat, 0.50), 2),
+       harness::fixed(pct_us(c.lat, 0.99), 2),
+       harness::fixed(pct_us(c.lat, 0.999), 2),
+       harness::fixed(static_cast<double>(c.lat.max_ns) / 1000.0, 2),
+       p999(harness::Op::kInsert), p999(harness::Op::kErase),
+       p999(harness::Op::kLookup), std::to_string(c.lat.count),
+       std::to_string(steered ? cfg.smr.latency_target_us : 0),
+       std::to_string(c.last.remote_penalty_ns), c.last.clock_source,
+       c.last.pin_mode});
 }
 
 int run_smoke(int argc, char** argv) {
@@ -160,37 +80,31 @@ int run_smoke(int argc, char** argv) {
   // retire-list threshold, so the whole-batch scan+free lands inside a
   // measured op regardless of scheduler interleaving.
   const std::string base = "hp";
-  const std::uint64_t kSeeds[] = {42, 1042};
-  const int kNumSeeds = 2;
-  harness::Table table({"threads", "reclaimer", "schedule", "mops",
-                        "p50_us", "p99_us", "p999_us", "max_us",
-                        "ins_p999_us", "ers_p999_us", "lkp_p999_us", "ops",
-                        "target_us", "penalty_ns", "clock", "pin"});
+  const std::uint64_t target_us = smoke_config(base).smr.latency_target_us;
+  harness::Table table(kColumns);
 
-  Cell cells[4];
+  harness::AggregateResult cells[4];
   bool ok = true;
   for (int s = 0; s < 4; ++s) {
-    cells[s] = run_cell(base + kSuffixes[s], kSeeds, kNumSeeds, &table);
+    const harness::TrialConfig cfg = smoke_config(base + kSuffixes[s]);
+    cells[s] = run_cell(cfg.reclaimer, cfg, kSmokeSeeds);
+    add_row(table, cfg, cells[s]);
     ok &= cells[s].accounted;
   }
 
-  const double p999_batch = cells[0].p999_us();
-  const double p999_af = cells[1].p999_us();
-  const double p999_latency = cells[3].p999_us();
-  const double mops_batch = cells[0].mops();
-  const double mops_af = cells[1].mops();
+  const double p999_batch = pct_us(cells[0].lat, 0.999);
+  const double p999_af = pct_us(cells[1].lat, 0.999);
+  const double p999_latency = pct_us(cells[3].lat, 0.999);
+  const double mops_batch = cells[0].avg_mops;
+  const double mops_af = cells[1].avg_mops;
   std::printf(
       "\nmerged p99.9: batch=%.1fus af=%.1fus adaptive=%.1fus "
       "latency=%.1fus (target %llu us)\n",
-      p999_batch, p999_af, cells[2].p999_us(), p999_latency,
-      static_cast<unsigned long long>(kSmokeTargetUs));
+      p999_batch, p999_af, pct_us(cells[2].lat, 0.999), p999_latency,
+      static_cast<unsigned long long>(target_us));
+  const double mops_diff = std::abs(mops_batch - mops_af);
   std::printf("mops: batch=%.3f af=%.3f (diff %.1f%%)\n", mops_batch,
-              mops_af,
-              mops_af > 0
-                  ? 100.0 * (mops_batch > mops_af ? mops_batch - mops_af
-                                                  : mops_af - mops_batch) /
-                        mops_af
-                  : 0.0);
+              mops_af, mops_af > 0 ? 100.0 * mops_diff / mops_af : 0.0);
 
   // (b) The paper's invisible harm: the whole-bag drains push the tail
   // out by multiples while throughput stays flat.
@@ -200,8 +114,6 @@ int run_smoke(int argc, char** argv) {
                 p999_batch, p999_af);
     ok = false;
   }
-  const double mops_diff =
-      mops_batch > mops_af ? mops_batch - mops_af : mops_af - mops_batch;
   if (mops_af <= 0 || mops_diff >= 0.20 * mops_af) {
     std::printf("FAILED: batch vs _af mops differ by >= 20%% "
                 "(batch=%.3f af=%.3f) — the tail story must not ride on a "
@@ -212,11 +124,10 @@ int run_smoke(int argc, char** argv) {
   // (c) The tail-steered controller holds its band: within 2x of the
   // configured target (log2 buckets bound the percentile's resolution
   // to a factor of 2, so the band is one bucket of slack).
-  if (p999_latency > 2.0 * static_cast<double>(kSmokeTargetUs)) {
+  if (p999_latency > 2.0 * static_cast<double>(target_us)) {
     std::printf("FAILED: _latency p99.9 (%.1fus) misses the target band "
                 "(<= 2x %llu us)\n",
-                p999_latency,
-                static_cast<unsigned long long>(kSmokeTargetUs));
+                p999_latency, static_cast<unsigned long long>(target_us));
     ok = false;
   }
 
@@ -243,49 +154,15 @@ int main(int argc, char** argv) {
       describe(base) + " reclaimer=" + reclaimer_base +
           " target_us=" + std::to_string(base.smr.latency_target_us));
 
-  harness::Table table({"threads", "reclaimer", "schedule", "mops",
-                        "p50_us", "p99_us", "p999_us", "max_us",
-                        "ins_p999_us", "ers_p999_us", "lkp_p999_us", "ops",
-                        "target_us", "penalty_ns", "clock", "pin"});
+  harness::Table table(kColumns);
   for (int nthreads : default_thread_sweep()) {
     for (const char* suffix : kSuffixes) {
       harness::TrialConfig cfg = base;
       cfg.nthreads = nthreads;
       cfg.reclaimer = reclaimer_base + suffix;
-      harness::Trial trial(cfg);
-      const harness::TrialResult r = trial.run();
-      const bool is_latency = std::strcmp(suffix, "_latency") == 0;
-      table.add_row({std::to_string(nthreads), cfg.reclaimer,
-                     trial.schedule().name(), harness::fixed(r.mops, 3),
-                     harness::fixed(r.lat_p50_ns / 1000.0, 2),
-                     harness::fixed(r.lat_p99_ns / 1000.0, 2),
-                     harness::fixed(r.lat_p999_ns / 1000.0, 2),
-                     harness::fixed(
-                         static_cast<double>(r.lat_max_ns) / 1000.0, 2),
-                     harness::fixed(
-                         r.kind_lat[harness::Op::kInsert].p999_ns / 1000.0,
-                         2),
-                     harness::fixed(
-                         r.kind_lat[harness::Op::kErase].p999_ns / 1000.0,
-                         2),
-                     harness::fixed(
-                         r.kind_lat[harness::Op::kLookup].p999_ns / 1000.0,
-                         2),
-                     std::to_string(r.lat_ops),
-                     std::to_string(is_latency ? cfg.smr.latency_target_us
-                                               : 0),
-                     std::to_string(r.remote_penalty_ns), r.clock_source,
-                     r.pin_mode});
-      std::printf(
-          "  t=%-3d %-16s %7.2f Mops/s  p50=%-8s p99=%-8s p999=%-8s "
-          "max=%s\n",
-          nthreads, cfg.reclaimer.c_str(), r.mops,
-          (harness::fixed(r.lat_p50_ns / 1000.0, 1) + "us").c_str(),
-          (harness::fixed(r.lat_p99_ns / 1000.0, 1) + "us").c_str(),
-          (harness::fixed(r.lat_p999_ns / 1000.0, 1) + "us").c_str(),
-          (harness::fixed(static_cast<double>(r.lat_max_ns) / 1000.0, 1) +
-           "us")
-              .c_str());
+      add_row(table, cfg,
+              run_cell("t=" + std::to_string(nthreads) + " " + cfg.reclaimer,
+                       cfg, {cfg.seed}));
     }
   }
   std::printf("\n");

@@ -27,10 +27,10 @@
 // fixed-batch dequeue p99.9 is >= 2x the _af dequeue p99.9 while their
 // mops stay comparable — the same invisible-harm shape as
 // bench_fig_latency, now driven by the role split.
+#include <cmath>
 #include <cstring>
 
 #include "bench_common.hpp"
-#include "core/latency.hpp"
 #include "ds/queue.hpp"
 #include "smr/factory.hpp"
 
@@ -41,132 +41,45 @@ namespace {
 
 const char* kSuffixes[] = {"", "_af", "_adaptive", "_latency"};
 
-/// One (layout, schedule) cell: seeds merge into per-kind histograms
-/// (percentiles over the union), mops averages, allocator counters sum.
-struct Cell {
-  LatencyHistogram enq_hist;
-  LatencyHistogram deq_hist;
-  std::string schedule;
-  double mops_sum = 0;
-  int runs = 0;
-  bool accounted = true;  // ops > 0, pending == 0, empty backlog
-  std::uint64_t remote_frees = 0;
-  std::uint64_t frees = 0;
-  std::uint64_t penalty_ns = 0;
-  std::string clock = "steady";
-  std::string pin = "off";
-
-  double mops() const { return runs > 0 ? mops_sum / runs : 0.0; }
-  double remote_share() const {
-    return frees > 0 ? static_cast<double>(remote_frees) /
-                           static_cast<double>(frees)
-                     : 0.0;
-  }
-  double deq_p999_us() const {
-    return latency_percentile(deq_hist, 0.999) / 1000.0;
-  }
-};
-
-harness::TrialConfig smoke_config(const std::string& reclaimer,
-                                  int producers) {
-  harness::TrialConfig cfg;
-  cfg.workload = "pipeline";
-  cfg.ds = "msqueue";
-  cfg.producers = producers;
-  // Bound the queue so a producer burst can't balloon the live set: at
-  // 8192 nodes a full producer side just yields until consumers catch
-  // up, which is the backpressure a real pipeline stage would see.
-  cfg.queue_cap = 8192;
-  cfg.reclaimer = reclaimer;
-  cfg.allocator = "je";
-  cfg.nthreads = 8;  // asymmetric cells split this 4+4
-  cfg.measure_ms = 150;
-  cfg.enable_latency = true;
-  // Same modeled-cost calibration as bench_fig_latency: a sealed
-  // 128-node bag freed whole inside one dequeue crosses the 32-slot
-  // tcache four times, paying ~batch x penalty (~64 us) in that op,
-  // while an _af dequeue never pays more than one flush burst.
-  cfg.smr.batch_size = 128;
-  cfg.smr.epoch_freq = 32;
-  cfg.alloc.tcache_cap = 32;
-  cfg.alloc.remote_free_penalty_ns = 500;
-  // The gates below are tuned to this exact penalty: keep startup
-  // calibration from substituting the host's measured cache-line cost.
-  cfg.alloc.remote_penalty_explicit = true;
-  cfg.smr.drain_max = 256;
-  cfg.smr.latency_target_us = 15;
-  return cfg;
-}
+const std::vector<std::string> kColumns = {
+    "layout",      "producers",    "threads",     "ds",
+    "reclaimer",   "schedule",     "mops",        "enq_p999_us",
+    "deq_p999_us", "remote_share", "enq_ops",     "deq_ops",
+    "penalty_ns",  "clock",        "pin"};
 
 const char* layout_name(int producers) {
   return producers > 0 ? "asym" : "sym";
 }
 
-void add_cell_row(const Cell& cell, const harness::TrialConfig& cfg,
-                  harness::Table* table) {
-  table->add_row(
-      {layout_name(cfg.producers), std::to_string(cfg.producers),
-       std::to_string(cfg.nthreads), cfg.ds, cfg.reclaimer, cell.schedule,
-       harness::fixed(cell.mops(), 3),
-       harness::fixed(latency_percentile(cell.enq_hist, 0.999) / 1000.0, 2),
-       harness::fixed(latency_percentile(cell.deq_hist, 0.999) / 1000.0, 2),
-       harness::fixed(cell.remote_share(), 3),
-       std::to_string(cell.enq_hist.count),
-       std::to_string(cell.deq_hist.count), std::to_string(cell.penalty_ns),
-       cell.clock, cell.pin});
+double deq_p999_us(const harness::AggregateResult& c) {
+  return pct_us(c.kind_lat[harness::Op::kDequeue], 0.999);
 }
 
-Cell run_cell(const std::string& name, int producers,
-              const std::uint64_t* seeds, int nseeds,
-              harness::Table* table) {
-  Cell cell;
-  harness::TrialConfig cfg;
-  for (int i = 0; i < nseeds; ++i) {
-    cfg = smoke_config(name, producers);
-    cfg.seed = seeds[i];
-    harness::Trial trial(cfg);
-    const harness::TrialResult r = trial.run();
-    const bool good = r.ops > 0 && r.lat_ops > 0 &&
-                      trial.reclaimer().stats().pending == 0 &&
-                      trial.reclaimer().executor().backlog() == 0;
-    cell.accounted &= good;
-    cell.schedule = trial.schedule().name();
-    cell.penalty_ns = r.remote_penalty_ns;
-    cell.clock = r.clock_source;
-    cell.pin = r.pin_mode;
-    cell.enq_hist.add(trial.latency().merged_channel(harness::Op::kEnqueue));
-    cell.deq_hist.add(trial.latency().merged_channel(harness::Op::kDequeue));
-    cell.mops_sum += r.mops;
-    cell.remote_frees += r.alloc_diff.totals.n_remote_free;
-    cell.frees += r.alloc_diff.totals.n_free;
-    ++cell.runs;
-    std::printf(
-        "%-5s %-14s sched=%-8s seed=%-4llu ops=%-8llu mops=%-6s "
-        "enq_p999=%-8s deq_p999=%-8s remote=%-5s %s\n",
-        layout_name(producers), name.c_str(), trial.schedule().name(),
-        static_cast<unsigned long long>(cfg.seed),
-        static_cast<unsigned long long>(r.ops),
-        harness::fixed(r.mops, 2).c_str(),
-        (harness::fixed(
-             r.kind_lat[harness::Op::kEnqueue].p999_ns / 1000.0, 1) +
-         "us")
-            .c_str(),
-        (harness::fixed(
-             r.kind_lat[harness::Op::kDequeue].p999_ns / 1000.0, 1) +
-         "us")
-            .c_str(),
-        harness::fixed(r.alloc_diff.totals.n_free > 0
-                           ? static_cast<double>(
-                                 r.alloc_diff.totals.n_remote_free) /
-                                 static_cast<double>(
-                                     r.alloc_diff.totals.n_free)
-                           : 0.0,
-                       3)
-            .c_str(),
-        good ? "ok" : "FAILED");
-  }
-  if (table != nullptr) add_cell_row(cell, cfg, table);
-  return cell;
+/// One row per (layout, schedule) cell: per-kind percentiles over the
+/// seeds' merged histograms, allocator counters summed.
+void add_row(harness::Table& table, const harness::TrialConfig& cfg,
+             const harness::AggregateResult& c) {
+  const LatencyHistogram& enq = c.kind_lat[harness::Op::kEnqueue];
+  const LatencyHistogram& deq = c.kind_lat[harness::Op::kDequeue];
+  table.add_row(
+      {layout_name(cfg.producers), std::to_string(cfg.producers),
+       std::to_string(cfg.nthreads), cfg.ds, cfg.reclaimer, c.schedule,
+       harness::fixed(c.avg_mops, 3), harness::fixed(pct_us(enq, 0.999), 2),
+       harness::fixed(pct_us(deq, 0.999), 2),
+       harness::fixed(c.remote_share(), 3), std::to_string(enq.count),
+       std::to_string(deq.count), std::to_string(c.last.remote_penalty_ns),
+       c.last.clock_source, c.last.pin_mode});
+}
+
+harness::AggregateResult run_row(harness::Table& table,
+                                 const harness::TrialConfig& cfg,
+                                 const std::vector<std::uint64_t>& seeds) {
+  const harness::AggregateResult c = run_cell(
+      std::string(layout_name(cfg.producers)) + " t=" +
+          std::to_string(cfg.nthreads) + " " + cfg.reclaimer,
+      cfg, seeds);
+  add_row(table, cfg, c);
+  return c;
 }
 
 int run_smoke(int argc, char** argv) {
@@ -175,24 +88,22 @@ int run_smoke(int argc, char** argv) {
   // scan fires locally at the retire-list threshold, so the whole-batch
   // free lands inside a measured dequeue regardless of interleaving.
   const std::string base = "hp";
-  const std::uint64_t kSeeds[] = {42, 1042};
-  const int kNumSeeds = 2;
-  harness::Table table(
-      {"layout", "producers", "threads", "ds", "reclaimer", "schedule",
-       "mops", "enq_p999_us", "deq_p999_us", "remote_share", "enq_ops",
-       "deq_ops", "penalty_ns", "clock", "pin"});
+  harness::Table table(kColumns);
 
-  // layout x schedule: sym rows first, then asym, so the table reads as
-  // two blocks.
-  Cell sym[4];
-  Cell asym[4];
+  // layout x schedule on the shared tail cell, 8 workers (4+4 in the
+  // asymmetric layout): sym rows first, then asym, so the table reads
+  // as two blocks.
+  harness::AggregateResult sym[4];
+  harness::AggregateResult asym[4];
   bool ok = true;
   for (int s = 0; s < 4; ++s) {
-    sym[s] = run_cell(base + kSuffixes[s], 0, kSeeds, kNumSeeds, &table);
+    sym[s] = run_row(table, tail_pipeline_config(base + kSuffixes[s], 0),
+                     kSmokeSeeds);
     ok &= sym[s].accounted;
   }
   for (int s = 0; s < 4; ++s) {
-    asym[s] = run_cell(base + kSuffixes[s], 4, kSeeds, kNumSeeds, &table);
+    asym[s] = run_row(table, tail_pipeline_config(base + kSuffixes[s], 4),
+                      kSmokeSeeds);
     ok &= asym[s].accounted;
   }
 
@@ -200,8 +111,8 @@ int run_smoke(int argc, char** argv) {
               sym[0].remote_share(), asym[0].remote_share());
   std::printf("asym dequeue p99.9: batch=%.1fus af=%.1fus (mops %.3f vs "
               "%.3f)\n",
-              asym[0].deq_p999_us(), asym[1].deq_p999_us(), asym[0].mops(),
-              asym[1].mops());
+              deq_p999_us(asym[0]), deq_p999_us(asym[1]), asym[0].avg_mops,
+              asym[1].avg_mops);
 
   // (b) The role split is what charges the remote-free cost: symmetric
   // workers re-own freed nodes through their own tcache (only the
@@ -221,18 +132,17 @@ int run_smoke(int argc, char** argv) {
   // (c) Same invisible harm as the set workload, now on the dequeue
   // path where retire lives: whole-bag drains push the consumer tail
   // out by multiples while throughput stays flat.
-  const double deq_batch = asym[0].deq_p999_us();
-  const double deq_af = asym[1].deq_p999_us();
+  const double deq_batch = deq_p999_us(asym[0]);
+  const double deq_af = deq_p999_us(asym[1]);
   if (deq_batch < 2.0 * deq_af) {
     std::printf("FAILED: asym fixed-batch dequeue p99.9 (%.1fus) is not "
                 ">= 2x the _af dequeue p99.9 (%.1fus)\n",
                 deq_batch, deq_af);
     ok = false;
   }
-  const double mops_batch = asym[0].mops();
-  const double mops_af = asym[1].mops();
-  const double mops_diff =
-      mops_batch > mops_af ? mops_batch - mops_af : mops_af - mops_batch;
+  const double mops_batch = asym[0].avg_mops;
+  const double mops_af = asym[1].avg_mops;
+  const double mops_diff = std::abs(mops_batch - mops_af);
   if (mops_af <= 0 || mops_diff >= 0.25 * mops_af) {
     std::printf("FAILED: asym batch vs _af mops differ by >= 25%% "
                 "(batch=%.3f af=%.3f) — the tail story must not ride on a "
@@ -270,10 +180,7 @@ int main(int argc, char** argv) {
       describe(base) + " reclaimer=" + reclaimer_base +
           " cap=" + std::to_string(base.queue_cap));
 
-  harness::Table table(
-      {"layout", "producers", "threads", "ds", "reclaimer", "schedule",
-       "mops", "enq_p999_us", "deq_p999_us", "remote_share", "enq_ops",
-       "deq_ops", "penalty_ns", "clock", "pin"});
+  harness::Table table(kColumns);
   for (int nthreads : default_thread_sweep()) {
     for (int split = 0; split < 2; ++split) {
       const int producers = split == 0 ? 0 : nthreads / 2;
@@ -283,36 +190,7 @@ int main(int argc, char** argv) {
         cfg.nthreads = nthreads;
         cfg.producers = producers;
         cfg.reclaimer = reclaimer_base + suffix;
-        harness::Trial trial(cfg);
-        const harness::TrialResult r = trial.run();
-        Cell cell;
-        cell.schedule = trial.schedule().name();
-        cell.penalty_ns = r.remote_penalty_ns;
-        cell.clock = r.clock_source;
-        cell.pin = r.pin_mode;
-        cell.enq_hist.add(
-            trial.latency().merged_channel(harness::Op::kEnqueue));
-        cell.deq_hist.add(
-            trial.latency().merged_channel(harness::Op::kDequeue));
-        cell.mops_sum += r.mops;
-        cell.remote_frees += r.alloc_diff.totals.n_remote_free;
-        cell.frees += r.alloc_diff.totals.n_free;
-        ++cell.runs;
-        add_cell_row(cell, cfg, &table);
-        std::printf(
-            "  t=%-3d %-5s p=%-2d %-16s %7.2f Mops/s  enq_p999=%-8s "
-            "deq_p999=%-8s remote=%.3f\n",
-            nthreads, layout_name(producers), producers,
-            cfg.reclaimer.c_str(), r.mops,
-            (harness::fixed(
-                 r.kind_lat[harness::Op::kEnqueue].p999_ns / 1000.0, 1) +
-             "us")
-                .c_str(),
-            (harness::fixed(
-                 r.kind_lat[harness::Op::kDequeue].p999_ns / 1000.0, 1) +
-             "us")
-                .c_str(),
-            cell.remote_share());
+        run_row(table, cfg, {cfg.seed});
       }
     }
   }

@@ -34,127 +34,90 @@
 
 #include "bench_common.hpp"
 #include "core/arrival.hpp"
-#include "core/latency.hpp"
 
 using namespace emr;
 using namespace emr::bench;
 
 namespace {
 
-const char* const kHeaders[] = {
+const std::vector<std::string> kColumns = {
     "scenario",     "arrival",      "reclaimer",      "daemon",
     "threads",      "rate_ops",     "offered",        "completed",
     "mops",         "q_p50_us",     "q_p999_us",      "svc_p999_us",
     "peak_backlog", "mean_backlog", "daemon_drained", "sched_hash",
     "penalty_ns",   "clock",        "pin"};
 
-harness::Table make_table() {
-  return harness::Table(std::vector<std::string>(
-      kHeaders, kHeaders + sizeof(kHeaders) / sizeof(kHeaders[0])));
-}
-
-/// One service (or calibration) run folded to the table's columns.
-struct CellResult {
-  harness::TrialResult r;
-  LatencyHistogram queue;     // queueing-delay histogram of this run
-  double mean_backlog = 0;    // over the schedule trace
-  double tail_mean_backlog = 0;   // over samples at t >= kTailFromMs
-  std::uint64_t tail_peak_backlog = 0;
-  std::uint64_t peak_census = 0;
-  std::uint64_t sched_hash = 0;
-  bool accounted = false;
-};
-
 /// Where the daemon scenario's idle window is well underway: past the
 /// 75 ms phase break of the 150 ms smoke cell plus settling margin.
 constexpr std::uint64_t kTailFromMs = 95;
 
-/// The schedule the trial will serve, regenerated here so the bench can
-/// assert reproducibility against the run (mirrors Trial's own mapping
-/// of TrialConfig onto ArrivalConfig).
-std::uint64_t schedule_hash_for(const harness::TrialConfig& cfg) {
+/// The hash of the schedule a trial of `cfg` serves, regenerated from
+/// the same TrialConfig-to-ArrivalConfig mapping Trial::run uses.
+std::uint64_t schedule_hash(const harness::TrialConfig& cfg) {
   if (cfg.arrival == "closed") return 0;
-  ArrivalConfig acfg;
-  acfg.process = cfg.arrival == "burst" ? ArrivalConfig::Process::kBurst
-                                        : ArrivalConfig::Process::kPoisson;
-  acfg.rate_ops = cfg.rate_ops;
-  acfg.duration_ns = static_cast<std::uint64_t>(cfg.measure_ms) * 1'000'000ULL;
-  acfg.seed = cfg.seed;
-  acfg.insert_frac = cfg.insert_frac;
-  acfg.erase_frac = cfg.erase_frac;
-  acfg.keyrange = cfg.keyrange;
-  acfg.zipf_s = cfg.zipf_s;
-  acfg.phases = cfg.phases;
-  acfg.tenants = cfg.tenants < 1 ? 1 : cfg.tenants;
-  acfg.tenant_weights = cfg.tenant_weights;
-  return arrival_schedule_hash(generate_arrivals(acfg));
+  return arrival_schedule_hash(generate_arrivals(harness::arrival_config(cfg)));
 }
 
-CellResult run_cell(const harness::TrialConfig& cfg) {
-  CellResult out;
-  out.sched_hash = schedule_hash_for(cfg);
-  harness::Trial trial(cfg);
-  out.r = trial.run();
-  out.queue = trial.queue_latency().merged();
-  out.peak_census = trial.garbage().peak_garbage();
-  if (!out.r.schedule_trace.empty()) {
-    double sum = 0, tail_sum = 0;
-    std::uint64_t tail_n = 0;
-    for (const harness::ScheduleSample& s : out.r.schedule_trace) {
-      sum += static_cast<double>(s.backlog);
-      if (s.t_ms >= kTailFromMs) {
-        tail_sum += static_cast<double>(s.backlog);
-        ++tail_n;
-        out.tail_peak_backlog = std::max(out.tail_peak_backlog, s.backlog);
-      }
-    }
-    out.mean_backlog = sum / static_cast<double>(out.r.schedule_trace.size());
-    if (tail_n > 0) out.tail_mean_backlog = tail_sum / static_cast<double>(tail_n);
+/// Mean and peak executor backlog over the schedule-trace samples taken
+/// at t >= from_ms.
+struct Backlog {
+  double mean = 0;
+  std::uint64_t peak = 0;
+};
+Backlog backlog_since(const harness::TrialResult& r, std::uint64_t from_ms) {
+  Backlog b;
+  double sum = 0;
+  std::uint64_t n = 0;
+  for (const harness::ScheduleSample& s : r.schedule_trace) {
+    if (s.t_ms < from_ms) continue;
+    sum += static_cast<double>(s.backlog);
+    b.peak = std::max(b.peak, s.backlog);
+    ++n;
   }
-  // flush_all ran inside run(): every retired node must be home.
-  out.accounted = out.r.ops > 0 && trial.reclaimer().stats().pending == 0 &&
-                  trial.reclaimer().executor().backlog() == 0;
-  return out;
+  if (n > 0) b.mean = sum / static_cast<double>(n);
+  return b;
 }
 
 void add_row(harness::Table* table, const std::string& scenario,
-             const harness::TrialConfig& cfg, const CellResult& c) {
+             const harness::TrialConfig& cfg,
+             const harness::AggregateResult& c) {
+  const harness::TrialResult& r = c.last;
   char hash[32] = "-";
   if (cfg.arrival != "closed") {
     // "0x" keeps the cell outside the JSON number grammar, so emit_json
     // always writes the hash as a string (an all-digit hash would
     // otherwise silently change type between snapshots).
-    std::snprintf(hash, sizeof(hash), "0x%016" PRIx64, c.sched_hash);
+    std::snprintf(hash, sizeof(hash), "0x%016" PRIx64, schedule_hash(cfg));
   }
   table->add_row(
       {scenario, cfg.arrival, cfg.reclaimer, cfg.reclaimer_daemon,
        std::to_string(cfg.nthreads), harness::fixed(cfg.rate_ops, 0),
-       std::to_string(c.r.arrivals_offered),
-       std::to_string(c.r.arrivals_completed), harness::fixed(c.r.mops, 3),
-       harness::fixed(c.r.q_p50_ns / 1000.0, 2),
-       harness::fixed(c.r.q_p999_ns / 1000.0, 2),
-       harness::fixed(c.r.lat_p999_ns / 1000.0, 2),
-       std::to_string(c.r.peak_backlog), harness::fixed(c.mean_backlog, 1),
-       std::to_string(c.r.daemon_drained), hash,
-       std::to_string(c.r.remote_penalty_ns), c.r.clock_source,
-       c.r.pin_mode});
+       std::to_string(r.arrivals_offered),
+       std::to_string(r.arrivals_completed), harness::fixed(r.mops, 3),
+       harness::fixed(r.q_p50_ns / 1000.0, 2),
+       harness::fixed(r.q_p999_ns / 1000.0, 2),
+       harness::fixed(r.lat_p999_ns / 1000.0, 2),
+       std::to_string(r.peak_backlog),
+       harness::fixed(backlog_since(r, 0).mean, 1),
+       std::to_string(r.daemon_drained), hash,
+       std::to_string(r.remote_penalty_ns), r.clock_source, r.pin_mode});
 }
 
 void print_cell(const std::string& scenario, const harness::TrialConfig& cfg,
-                const CellResult& c) {
+                const harness::AggregateResult& c) {
+  const harness::TrialResult& r = c.last;
   std::printf(
       "%-12s %-7s seed=%-4llu rate=%-8s offered=%-8llu done=%-8llu "
       "mops=%-6s q_p50=%-8s q_p999=%-8s svc_p999=%-8s drained=%-6llu %s\n",
       scenario.c_str(), cfg.arrival.c_str(),
       static_cast<unsigned long long>(cfg.seed),
       harness::human_count(cfg.rate_ops).c_str(),
-      static_cast<unsigned long long>(c.r.arrivals_offered),
-      static_cast<unsigned long long>(c.r.arrivals_completed),
-      harness::fixed(c.r.mops, 2).c_str(),
-      harness::human_ns(c.r.q_p50_ns).c_str(),
-      harness::human_ns(c.r.q_p999_ns).c_str(),
-      harness::human_ns(c.r.lat_p999_ns).c_str(),
-      static_cast<unsigned long long>(c.r.daemon_drained),
+      static_cast<unsigned long long>(r.arrivals_offered),
+      static_cast<unsigned long long>(r.arrivals_completed),
+      harness::fixed(r.mops, 2).c_str(), harness::human_ns(r.q_p50_ns).c_str(),
+      harness::human_ns(r.q_p999_ns).c_str(),
+      harness::human_ns(r.lat_p999_ns).c_str(),
+      static_cast<unsigned long long>(r.daemon_drained),
       c.accounted ? "ok" : "UNACCOUNTED");
 }
 
@@ -209,7 +172,7 @@ harness::TrialConfig tenant_config(double capacity, const char* level) {
 }
 
 int run_smoke(int argc, char** argv) {
-  harness::Table table = make_table();
+  harness::Table table(kColumns);
   bool ok = true;
 
   // Closed-loop capacity of the smoke cell — the saturation knee the
@@ -218,10 +181,10 @@ int run_smoke(int argc, char** argv) {
   {
     harness::TrialConfig cfg = smoke_base();
     cfg.seed = 42;
-    const CellResult c = run_cell(cfg);
+    const harness::AggregateResult c = harness::run_trials(cfg, {cfg.seed});
     add_row(&table, "closed-cal", cfg, c);
-    capacity = static_cast<double>(c.r.ops) /
-               (static_cast<double>(c.r.wall_ns) / 1e9);
+    capacity = static_cast<double>(c.last.ops) /
+               (static_cast<double>(c.last.wall_ns) / 1e9);
   }
   std::printf("closed-loop capacity: %s ops/s (2 threads)\n\n",
               harness::human_count(capacity).c_str());
@@ -231,41 +194,42 @@ int run_smoke(int argc, char** argv) {
   }
 
   // ---- (a) + (b): open-loop saturation over two seeds ----------------
-  const std::uint64_t kSeeds[] = {42, 1042};
   LatencyHistogram light_q, over_q;
   double over_rate_sum = 0;
   int over_runs = 0;
-  for (const std::uint64_t seed : kSeeds) {
+  for (const std::uint64_t seed : kSmokeSeeds) {
     for (const bool overload : {false, true}) {
       harness::TrialConfig cfg = smoke_base();
       cfg.seed = seed;
       cfg.arrival = "poisson";
       cfg.rate_ops = capacity * (overload ? 1.6 : 0.4);
-      const CellResult c = run_cell(cfg);
+      const std::uint64_t served_hash = schedule_hash(cfg);
+      const harness::AggregateResult c = harness::run_trials(cfg, {cfg.seed});
+      const harness::TrialResult& r = c.last;
       ok &= c.accounted;
       print_cell(overload ? "over" : "light", cfg, c);
       add_row(&table, overload ? "over" : "light", cfg, c);
 
       if (overload) {
-        over_q.add(c.queue);
-        over_rate_sum += static_cast<double>(c.r.arrivals_completed) /
-                         (static_cast<double>(c.r.wall_ns) / 1e9);
+        over_q.add(c.queue_lat);
+        over_rate_sum += static_cast<double>(r.arrivals_completed) /
+                         (static_cast<double>(r.wall_ns) / 1e9);
         ++over_runs;
       } else {
-        light_q.add(c.queue);
+        light_q.add(c.queue_lat);
         // Light load: (almost) every offered arrival gets served.
-        if (c.r.arrivals_completed < c.r.arrivals_offered * 95 / 100) {
+        if (r.arrivals_completed < r.arrivals_offered * 95 / 100) {
           std::printf("FAILED: light load left offered arrivals unserved "
                       "(%llu of %llu)\n",
-                      static_cast<unsigned long long>(c.r.arrivals_completed),
-                      static_cast<unsigned long long>(c.r.arrivals_offered));
+                      static_cast<unsigned long long>(r.arrivals_completed),
+                      static_cast<unsigned long long>(r.arrivals_offered));
           ok = false;
         }
       }
 
       // (a) regenerating the schedule from the same config hashes
       // identically to what the run served.
-      if (schedule_hash_for(cfg) != c.sched_hash) {
+      if (schedule_hash(cfg) != served_hash) {
         std::printf("FAILED: schedule hash not reproducible for seed %llu\n",
                     static_cast<unsigned long long>(seed));
         ok = false;
@@ -276,19 +240,21 @@ int run_smoke(int argc, char** argv) {
   // schedule — same hash, same event count.
   {
     harness::TrialConfig cfg = smoke_base();
-    cfg.seed = kSeeds[0];
+    cfg.seed = kSmokeSeeds[0];
     cfg.arrival = "poisson";
     cfg.rate_ops = capacity * 0.4;
-    const CellResult a = run_cell(cfg);
-    const CellResult b = run_cell(cfg);
-    if (a.sched_hash != b.sched_hash ||
-        a.r.arrivals_offered != b.r.arrivals_offered) {
+    const std::uint64_t hash_a = schedule_hash(cfg);
+    const std::uint64_t offered_a =
+        harness::run_trials(cfg, {cfg.seed}).last.arrivals_offered;
+    const std::uint64_t hash_b = schedule_hash(cfg);
+    const std::uint64_t offered_b =
+        harness::run_trials(cfg, {cfg.seed}).last.arrivals_offered;
+    if (hash_a != hash_b || offered_a != offered_b) {
       std::printf("FAILED: repeated daemon-off runs disagree on the offered "
                   "schedule (hash 0x%016" PRIx64 " vs 0x%016" PRIx64
                   ", offered %llu vs %llu)\n",
-                  a.sched_hash, b.sched_hash,
-                  static_cast<unsigned long long>(a.r.arrivals_offered),
-                  static_cast<unsigned long long>(b.r.arrivals_offered));
+                  hash_a, hash_b, static_cast<unsigned long long>(offered_a),
+                  static_cast<unsigned long long>(offered_b));
       ok = false;
     }
   }
@@ -322,30 +288,32 @@ int run_smoke(int argc, char** argv) {
 
   // ---- (c) hot/cold tenants, daemon off vs aggressive ----------------
   std::printf("\n");
-  CellResult cells[2];
+  harness::AggregateResult cells[2];
+  Backlog tail[2];
   const char* const kLevels[2] = {"off", "aggressive"};
   for (int i = 0; i < 2; ++i) {
     const harness::TrialConfig cfg = tenant_config(capacity, kLevels[i]);
-    cells[i] = run_cell(cfg);
+    cells[i] = harness::run_trials(cfg, {cfg.seed});
+    tail[i] = backlog_since(cells[i].last, kTailFromMs);
     ok &= cells[i].accounted;
     if (env_has("EMR_TRACE_DUMP")) {
       std::printf("-- trace %s: ", kLevels[i]);
-      for (const harness::ScheduleSample& s : cells[i].r.schedule_trace) {
+      for (const harness::ScheduleSample& s : cells[i].last.schedule_trace) {
         std::printf("%llu:%llu ", static_cast<unsigned long long>(s.t_ms),
                     static_cast<unsigned long long>(s.backlog));
       }
       std::printf("\n   ticks=%llu pressure=%llu quiet=%llu\n",
-                  static_cast<unsigned long long>(cells[i].r.daemon_ticks),
+                  static_cast<unsigned long long>(cells[i].last.daemon_ticks),
                   static_cast<unsigned long long>(
-                      cells[i].r.daemon_pressure_ticks),
+                      cells[i].last.daemon_pressure_ticks),
                   static_cast<unsigned long long>(
-                      cells[i].r.daemon_quiet_ticks));
+                      cells[i].last.daemon_quiet_ticks));
     }
     const std::string label = std::string("tenant-") + kLevels[i];
     print_cell(label, cfg, cells[i]);
     add_row(&table, label, cfg, cells[i]);
 
-    const harness::TrialResult& r = cells[i].r;
+    const harness::TrialResult& r = cells[i].last;
     if (r.tenant.size() != 2 ||
         r.tenant[0].retired + r.tenant[1].retired != r.smr_stats.retired) {
       std::printf("FAILED: tenant ledgers do not sum to the bundle total "
@@ -366,33 +334,33 @@ int run_smoke(int argc, char** argv) {
               "peak=%llu mean=%.1f | aggressive peak=%llu mean=%.1f "
               "(daemon drained %llu; census peaks %llu vs %llu)\n",
               static_cast<unsigned long long>(kTailFromMs),
-              static_cast<unsigned long long>(cells[0].tail_peak_backlog),
-              cells[0].tail_mean_backlog,
-              static_cast<unsigned long long>(cells[1].tail_peak_backlog),
-              cells[1].tail_mean_backlog,
-              static_cast<unsigned long long>(cells[1].r.daemon_drained),
-              static_cast<unsigned long long>(cells[0].peak_census),
-              static_cast<unsigned long long>(cells[1].peak_census));
-  if (cells[1].r.daemon_drained == 0) {
+              static_cast<unsigned long long>(tail[0].peak),
+              tail[0].mean,
+              static_cast<unsigned long long>(tail[1].peak),
+              tail[1].mean,
+              static_cast<unsigned long long>(cells[1].last.daemon_drained),
+              static_cast<unsigned long long>(cells[0].peak_garbage),
+              static_cast<unsigned long long>(cells[1].peak_garbage));
+  if (cells[1].last.daemon_drained == 0) {
     std::printf("FAILED: the aggressive daemon never drained anything\n");
     ok = false;
   }
   // The daemon's win is the garbage stranded once traffic stops: with
   // the daemon off, whatever the executor holds at the last op simply
   // stays there; aggressive keeps draining through the idle window.
-  if (cells[0].tail_mean_backlog < 64.0) {
+  if (tail[0].mean < 64.0) {
     std::printf("FAILED: daemon-off stranded almost nothing in the idle "
                 "tail (mean %.1f nodes) — the scenario is degenerate\n",
-                cells[0].tail_mean_backlog);
+                tail[0].mean);
     ok = false;
   }
   // The first post-strand sample can catch aggressive before its next
   // tick, so the gate is the tail *mean* (daemon clears the strand in a
   // few ticks; off holds it for the rest of the window), not the peak.
-  if (cells[1].tail_mean_backlog > 0.5 * cells[0].tail_mean_backlog) {
+  if (tail[1].mean > 0.5 * tail[0].mean) {
     std::printf("FAILED: aggressive tail garbage (mean %.1f) is not < 50%% "
                 "of daemon-off (%.1f)\n",
-                cells[1].tail_mean_backlog, cells[0].tail_mean_backlog);
+                tail[1].mean, tail[0].mean);
     ok = false;
   }
 
@@ -417,17 +385,17 @@ int main(int argc, char** argv) {
       describe(base) + " reclaimer=" + base.reclaimer +
           " daemon=" + base.reclaimer_daemon);
 
-  harness::Table table = make_table();
+  harness::Table table(kColumns);
 
   // Panel 1: walk the offered load across the saturation knee.
   double capacity = 0;
   {
     harness::TrialConfig cal = base;
     cal.arrival = "closed";
-    const CellResult c = run_cell(cal);
+    const harness::AggregateResult c = harness::run_trials(cal, {cal.seed});
     add_row(&table, "closed-cal", cal, c);
-    capacity = static_cast<double>(c.r.ops) /
-               (static_cast<double>(c.r.wall_ns) / 1e9);
+    capacity = static_cast<double>(c.last.ops) /
+               (static_cast<double>(c.last.wall_ns) / 1e9);
     std::printf("closed-loop capacity: %s ops/s (%d threads)\n\n",
                 harness::human_count(capacity).c_str(), cal.nthreads);
   }
@@ -435,7 +403,7 @@ int main(int argc, char** argv) {
     harness::TrialConfig cfg = base;
     if (cfg.arrival == "closed") cfg.arrival = "poisson";
     if (!env_has("EMR_RATE_OPS")) cfg.rate_ops = capacity * frac;
-    const CellResult cell = run_cell(cfg);
+    const harness::AggregateResult cell = harness::run_trials(cfg, {cfg.seed});
     char label[32];
     std::snprintf(label, sizeof(label), "load-%.2f", frac);
     print_cell(label, cfg, cell);
@@ -455,20 +423,20 @@ int main(int argc, char** argv) {
     }
     cfg.reclaimer_daemon = level;
     cfg.enable_schedule_trace = true;
-    const CellResult cell = run_cell(cfg);
+    const harness::AggregateResult cell = harness::run_trials(cfg, {cfg.seed});
     const std::string label = std::string("tenant-") + level;
     print_cell(label, cfg, cell);
     add_row(&table, label, cfg, cell);
-    if (cell.r.tenant.size() == 2) {
+    if (cell.last.tenant.size() == 2) {
       std::printf(
           "    hot: retired=%llu backlog_end=%llu p999=%s | cold: "
           "retired=%llu backlog_end=%llu p999=%s\n",
-          static_cast<unsigned long long>(cell.r.tenant[0].retired),
-          static_cast<unsigned long long>(cell.r.tenant[0].backlog_end),
-          harness::human_ns(cell.r.tenant[0].lat_p999_ns).c_str(),
-          static_cast<unsigned long long>(cell.r.tenant[1].retired),
-          static_cast<unsigned long long>(cell.r.tenant[1].backlog_end),
-          harness::human_ns(cell.r.tenant[1].lat_p999_ns).c_str());
+          static_cast<unsigned long long>(cell.last.tenant[0].retired),
+          static_cast<unsigned long long>(cell.last.tenant[0].backlog_end),
+          harness::human_ns(cell.last.tenant[0].lat_p999_ns).c_str(),
+          static_cast<unsigned long long>(cell.last.tenant[1].retired),
+          static_cast<unsigned long long>(cell.last.tenant[1].backlog_end),
+          harness::human_ns(cell.last.tenant[1].lat_p999_ns).c_str());
     }
   }
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -531,6 +532,23 @@ Op OpStream::next() {
   return op;
 }
 
+ArrivalConfig arrival_config(const TrialConfig& cfg) {
+  ArrivalConfig acfg;
+  acfg.process = cfg.arrival == "burst" ? ArrivalConfig::Process::kBurst
+                                        : ArrivalConfig::Process::kPoisson;
+  acfg.rate_ops = cfg.rate_ops;
+  acfg.duration_ns = static_cast<std::uint64_t>(cfg.measure_ms) * 1'000'000u;
+  acfg.seed = cfg.seed;
+  acfg.insert_frac = cfg.insert_frac;
+  acfg.erase_frac = cfg.erase_frac;
+  acfg.keyrange = cfg.keyrange;
+  acfg.zipf_s = cfg.zipf_s;
+  acfg.phases = cfg.phases;
+  acfg.tenants = std::max(cfg.tenants, 1);
+  acfg.tenant_weights = cfg.tenant_weights;
+  return acfg;
+}
+
 // ----------------------------------------------------------------- trial
 
 namespace {
@@ -697,23 +715,7 @@ TrialResult Trial::run() {
   // (hence the offered load) is byte-identical at every worker count;
   // only the serving capacity changes.
   std::vector<Arrival> schedule;
-  if (service) {
-    ArrivalConfig acfg;
-    acfg.process = cfg_.arrival == "burst" ? ArrivalConfig::Process::kBurst
-                                           : ArrivalConfig::Process::kPoisson;
-    acfg.rate_ops = cfg_.rate_ops;
-    acfg.duration_ns =
-        static_cast<std::uint64_t>(cfg_.measure_ms) * 1'000'000u;
-    acfg.seed = cfg_.seed;
-    acfg.insert_frac = cfg_.insert_frac;
-    acfg.erase_frac = cfg_.erase_frac;
-    acfg.keyrange = cfg_.keyrange;
-    acfg.zipf_s = cfg_.zipf_s;
-    acfg.phases = cfg_.phases;
-    acfg.tenants = ntenants;
-    acfg.tenant_weights = cfg_.tenant_weights;
-    schedule = generate_arrivals(acfg);
-  }
+  if (service) schedule = generate_arrivals(arrival_config(cfg_));
 
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
@@ -738,35 +740,32 @@ TrialResult Trial::run() {
     tenant_done[static_cast<std::size_t>(t)].store(
         0, std::memory_order_relaxed);
   }
+  // Completed and refused ops per Op::Kind, folded in by each worker
+  // incarnation as it exits. Only queue ops can be refused (a full
+  // enqueue or an empty poll).
+  std::atomic<std::uint64_t> kind_done[Op::kNumKinds] = {};
+  std::atomic<std::uint64_t> kind_refused[Op::kNumKinds] = {};
   // The measured window's opening instant, published before `go` so
   // service workers can place scheduled arrivals on the wall clock.
   std::atomic<std::uint64_t> epoch_ns{0};
-  // Per-worker-lane state: churn replaces the thread behind a lane, so
-  // the op count accumulates atomically and the retire flag singles out
-  // one incarnation without stopping the trial.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts(
-      new std::atomic<std::uint64_t>[static_cast<std::size_t>(nthreads)]);
+  // Churn replaces the thread behind a worker index; the retire flag
+  // singles out one incarnation without stopping the trial.
   std::unique_ptr<std::atomic<bool>[]> retire_worker(
       new std::atomic<bool>[static_cast<std::size_t>(nthreads)]);
   for (int i = 0; i < nthreads; ++i) {
-    counts[static_cast<std::size_t>(i)].store(0, std::memory_order_relaxed);
     retire_worker[static_cast<std::size_t>(i)].store(
         false, std::memory_order_relaxed);
   }
-  // Pipeline per-role accumulators: successful ops and refused polls by
-  // role, folded in by each worker incarnation as it exits.
-  std::atomic<std::uint64_t> enq_ok{0};
-  std::atomic<std::uint64_t> enq_failed{0};
-  std::atomic<std::uint64_t> deq_ok{0};
-  std::atomic<std::uint64_t> deq_failed{0};
 
   // One worker incarnation: registers its own ThreadHandle (released on
   // exit, so a churned-out thread's backlog is adopted or drained, never
-  // leaked), then either drives its deterministic op stream (closed
-  // loop) or serves its residue class of the arrival schedule (service
-  // mode) until the trial stops or the churn controller retires this
-  // incarnation. `incarnation` seeds closed-loop replacements onto
-  // fresh streams; service replacements resume the shared cursor.
+  // leaked), then runs the op loop over its op source — its
+  // deterministic op stream (closed loop), its residue class of the
+  // arrival schedule (service mode) or its queue role (pipeline) —
+  // until the source runs dry, the trial stops, or the churn controller
+  // retires this incarnation. `incarnation` seeds closed-loop
+  // replacements onto fresh streams; service replacements resume the
+  // shared cursor.
   auto worker_fn = [&](int widx, std::uint64_t incarnation) {
     // Pin before registering: every instruction of the measured window
     // (and a churn replacement's whole life) runs on the layout's CPU.
@@ -790,112 +789,98 @@ TrialResult Trial::run() {
     // so the disabled path costs one register-held branch per op.
     const bool record_latency = latency_.enabled();
     const int lane = handle.slot();
+    std::uint64_t done[Op::kNumKinds] = {};
+    std::uint64_t refused[Op::kNumKinds] = {};
     std::vector<std::uint64_t> done_by_tenant(
         static_cast<std::size_t>(ntenants), 0);
-    std::uint64_t done = 0;
     while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    if (pipeline) {
-      ds::ConcurrentQueue& q = *queue_;
-      // Role: the first `producers` worker indices enqueue only, the
-      // rest dequeue only; producers == 0 alternates both kinds on
-      // every worker — the symmetric layout, where a freed node
-      // restocks the freeing worker's own thread cache and the next
-      // enqueue re-allocates (and re-owns) it locally.
-      const bool split = cfg_.producers > 0;
-      const bool is_producer = split && widx < cfg_.producers;
-      std::uint64_t seq = 0;
-      std::uint64_t eok = 0, efail = 0, dok = 0, dfail = 0;
+
+    // The op loop, one instantiation per source: `next_op` fills the
+    // next op, or returns false once this incarnation has nothing left
+    // to serve. The target structure is resolved before the clock
+    // starts, so the timed span is the structure call alone.
+    auto run_ops = [&](auto&& next_op) {
+      Op op{};
       while (!stop.load(std::memory_order_relaxed) &&
-             !retire.load(std::memory_order_relaxed)) {
-        const bool do_enq = split ? is_producer : (seq & 1) == 0;
-        const std::uint64_t op_t0 = record_latency ? now_ns() : 0;
-        bool ok;
-        if (do_enq) {
-          // Tagged value (worker id | sequence): deterministic and
-          // unique, so a post-mortem dump reads back to its producer.
-          ok = q.enqueue(handle,
-                         (static_cast<std::uint64_t>(widx) << 40) |
-                             (seq & 0xFF'FFFF'FFFFull));
-          if (ok) {
-            ++eok;
-          } else {
-            ++efail;
-          }
-        } else {
-          std::uint64_t value = 0;
-          ok = q.dequeue(handle, &value);
-          if (ok) {
-            ++dok;
-          } else {
-            ++dfail;
-          }
-        }
-        if (record_latency) {
-          latency_.record(lane, do_enq ? Op::kEnqueue : Op::kDequeue,
-                          now_ns() - op_t0);
-        }
-        ++seq;
-        if (ok) {
-          ++done;
-        } else {
-          // Backpressure: a full (producer) or empty (consumer) queue
-          // costs a yield, not a busy retry storm.
-          std::this_thread::yield();
-        }
-      }
-      enq_ok.fetch_add(eok, std::memory_order_relaxed);
-      enq_failed.fetch_add(efail, std::memory_order_relaxed);
-      deq_ok.fetch_add(dok, std::memory_order_relaxed);
-      deq_failed.fetch_add(dfail, std::memory_order_relaxed);
-    } else if (!service) {
-      OpStream ops(cfg_, static_cast<int>(incarnation) * nthreads + widx);
-      while (!stop.load(std::memory_order_relaxed) &&
-             !retire.load(std::memory_order_relaxed)) {
-        const Op op = ops.next();
-        ds::ConcurrentSet& set = *sets_[op.tenant];
-        if (multi) ex.set_lane_tenant(lane, static_cast<int>(op.tenant));
+             !retire.load(std::memory_order_relaxed) && next_op(op)) {
+        if (multi) ex.set_lane_tenant(lane, op.tenant);
+        ds::ConcurrentSet* set = pipeline ? nullptr : sets_[op.tenant].get();
         const std::uint64_t op_t0 = record_latency ? now_ns() : 0;
         // Each ds operation opens its own smr::Guard (begin_op/end_op).
+        bool ok = true;
         switch (op.kind) {
           case Op::kInsert:
-            set.insert(handle, op.key);
+            set->insert(handle, op.key);
             break;
           case Op::kErase:
-            set.erase(handle, op.key);
+            set->erase(handle, op.key);
             break;
           case Op::kLookup:
-            set.contains(handle, op.key);
+            set->contains(handle, op.key);
             break;
+          case Op::kEnqueue:
+            ok = queue_->enqueue(handle, op.key);
+            break;
+          case Op::kDequeue: {
+            std::uint64_t value = 0;
+            ok = queue_->dequeue(handle, &value);
+            break;
+          }
         }
         if (record_latency) {
           const std::uint64_t d = now_ns() - op_t0;
           latency_.record(lane, op.kind, d);
           tenant_latency_.record(static_cast<int>(op.tenant), d);
         }
-        ++done_by_tenant[op.tenant];
-        ++done;
+        if (ok) {
+          ++done[op.kind];
+          ++done_by_tenant[op.tenant];
+        } else {
+          // Backpressure: a full (producer) or empty (consumer) queue
+          // costs a yield, not a busy retry storm.
+          ++refused[op.kind];
+          std::this_thread::yield();
+        }
       }
-    } else {
+    };
+
+    if (pipeline) {
+      // Role: the first `producers` worker indices enqueue only, the
+      // rest dequeue only; producers == 0 alternates both kinds on
+      // every worker — the symmetric layout, where a freed node
+      // restocks the freeing worker's own thread cache and the next
+      // enqueue re-allocates (and re-owns) it locally. The sequence
+      // advances on every attempt, refused ones included.
+      const bool split = cfg_.producers > 0;
+      const bool is_producer = split && widx < cfg_.producers;
+      std::uint64_t seq = 0;
+      run_ops([&](Op& op) {
+        const bool enq = split ? is_producer : (seq & 1) == 0;
+        op.kind = enq ? Op::kEnqueue : Op::kDequeue;
+        // Tagged value (worker id | sequence): deterministic and
+        // unique, so a post-mortem dump reads back to its producer.
+        op.key = (static_cast<std::uint64_t>(widx) << 40) |
+                 (seq & 0xFF'FFFF'FFFFull);
+        ++seq;
+        return true;
+      });
+    } else if (service) {
       const std::uint64_t win_t0 = epoch_ns.load(std::memory_order_relaxed);
-      const std::uint64_t n = schedule.size();
       std::atomic<std::uint64_t>& cursor =
           cursors[static_cast<std::size_t>(widx)];
-      while (!stop.load(std::memory_order_relaxed) &&
-             !retire.load(std::memory_order_relaxed)) {
+      run_ops([&](Op& op) {
         const std::uint64_t idx = cursor.load(std::memory_order_relaxed);
-        if (idx >= n) break;  // this residue class is fully served
-        const Arrival a = schedule[static_cast<std::size_t>(idx)];
+        if (idx >= schedule.size()) return false;  // residue class served
+        const Arrival& a = schedule[static_cast<std::size_t>(idx)];
         const std::uint64_t due = win_t0 + a.t_ns;
         // Open loop: hold the op until its scheduled instant — coarse
         // sleep while far out, yield-spin near — without ever blocking
         // past stop or churn retirement.
         std::uint64_t now = now_ns();
-        bool bailed = false;
         while (now < due) {
           if (stop.load(std::memory_order_relaxed) ||
               retire.load(std::memory_order_relaxed)) {
-            bailed = true;
-            break;
+            return false;  // the unserved event stays at the cursor
           }
           const std::uint64_t wait_ns = due - now;
           if (wait_ns > 500'000) {
@@ -906,7 +891,6 @@ TrialResult Trial::run() {
           }
           now = now_ns();
         }
-        if (bailed) break;  // the unserved event stays at the cursor
         // Per-widx cursor: only this incarnation (or its churn
         // replacement, after a join) advances it, so a plain store is
         // enough.
@@ -916,41 +900,28 @@ TrialResult Trial::run() {
         // past saturation `now` falls ever further behind `due` and the
         // tail explodes while completed throughput plateaus.
         queue_latency_.record(lane, now > due ? now - due : 0);
-        if (multi) ex.set_lane_tenant(lane, a.tenant);
-        ds::ConcurrentSet& set = *sets_[a.tenant];
-        const std::uint64_t op_t0 = record_latency ? now_ns() : 0;
-        switch (static_cast<Op::Kind>(a.kind)) {
-          case Op::kInsert:
-            set.insert(handle, a.key);
-            break;
-          case Op::kErase:
-            set.erase(handle, a.key);
-            break;
-          case Op::kLookup:
-            set.contains(handle, a.key);
-            break;
-        }
-        if (record_latency) {
-          const std::uint64_t d = now_ns() - op_t0;
-          latency_.record(lane, a.kind, d);
-          tenant_latency_.record(a.tenant, d);
-        }
-        ++done_by_tenant[a.tenant];
-        ++done;
-      }
+        op.kind = static_cast<Op::Kind>(a.kind);
+        op.key = a.key;
+        op.tenant = a.tenant;
+        return true;
+      });
+    } else {
+      OpStream stream(cfg_, static_cast<int>(incarnation) * nthreads + widx);
+      run_ops([&](Op& op) {
+        op = stream.next();
+        return true;
+      });
     }
-    counts[static_cast<std::size_t>(widx)].fetch_add(
-        done, std::memory_order_relaxed);
+    for (int k = 0; k < Op::kNumKinds; ++k) {
+      kind_done[k].fetch_add(done[k], std::memory_order_relaxed);
+      kind_refused[k].fetch_add(refused[k], std::memory_order_relaxed);
+    }
     for (int t = 0; t < ntenants; ++t) {
       tenant_done[static_cast<std::size_t>(t)].fetch_add(
           done_by_tenant[static_cast<std::size_t>(t)],
           std::memory_order_relaxed);
     }
   };
-
-  // The daemon spans the whole measured window (and the brief worker
-  // spawn ramp): start() registers its handle and begins ticking now.
-  if (daemon_) daemon_->start();
 
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(nthreads));
@@ -1021,6 +992,12 @@ TrialResult Trial::run() {
     });
   }
 
+  // The daemon's window opens with the measured window: started after
+  // the before-snapshots and the instrument re-arm above, which its
+  // drains would otherwise race, and just before `go`. start()
+  // registers its handle and begins ticking now.
+  if (daemon_) daemon_->start();
+
   go.store(true, std::memory_order_release);
 
   std::uint64_t churned = 0;
@@ -1084,9 +1061,8 @@ TrialResult Trial::run() {
   allocator_->flush_thread_caches();
 
   TrialResult r;
-  for (int i = 0; i < nthreads; ++i) {
-    r.ops += counts[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
+  for (int k = 0; k < Op::kNumKinds; ++k) {
+    r.ops += kind_done[k].load(std::memory_order_relaxed);
   }
   r.threads_churned = churned;
   // Read after flush_all so this is the post-teardown ledger: with
@@ -1129,10 +1105,12 @@ TrialResult Trial::run() {
     const bool split = cfg_.producers > 0;
     r.producer.workers = split ? cfg_.producers : nthreads;
     r.consumer.workers = split ? nthreads - cfg_.producers : nthreads;
-    r.producer.ops = enq_ok.load(std::memory_order_relaxed);
-    r.producer.failed = enq_failed.load(std::memory_order_relaxed);
-    r.consumer.ops = deq_ok.load(std::memory_order_relaxed);
-    r.consumer.failed = deq_failed.load(std::memory_order_relaxed);
+    r.producer.ops = kind_done[Op::kEnqueue].load(std::memory_order_relaxed);
+    r.producer.failed =
+        kind_refused[Op::kEnqueue].load(std::memory_order_relaxed);
+    r.consumer.ops = kind_done[Op::kDequeue].load(std::memory_order_relaxed);
+    r.consumer.failed =
+        kind_refused[Op::kDequeue].load(std::memory_order_relaxed);
   }
   if (service) {
     r.arrivals_offered = schedule.size();
@@ -1178,23 +1156,7 @@ TrialResult Trial::run() {
       smr_after.epochs_advanced - smr_before.epochs_advanced;
   r.freed_in_window = smr_after.freed - smr_before.freed;
 
-  r.alloc_diff.totals.n_alloc =
-      alloc_after.totals.n_alloc - alloc_before.totals.n_alloc;
-  r.alloc_diff.totals.n_free =
-      alloc_after.totals.n_free - alloc_before.totals.n_free;
-  r.alloc_diff.totals.n_remote_free =
-      alloc_after.totals.n_remote_free - alloc_before.totals.n_remote_free;
-  r.alloc_diff.totals.n_flush =
-      alloc_after.totals.n_flush - alloc_before.totals.n_flush;
-  r.alloc_diff.totals.ns_in_free =
-      alloc_after.totals.ns_in_free - alloc_before.totals.ns_in_free;
-  r.alloc_diff.totals.ns_in_flush =
-      alloc_after.totals.ns_in_flush - alloc_before.totals.ns_in_flush;
-  r.alloc_diff.totals.ns_in_lock =
-      alloc_after.totals.ns_in_lock - alloc_before.totals.ns_in_lock;
-  r.alloc_diff.bytes_mapped =
-      alloc_after.bytes_mapped - alloc_before.bytes_mapped;
-  r.alloc_diff.peak_bytes_mapped = alloc_after.peak_bytes_mapped;
+  r.alloc_diff = alloc_after - alloc_before;
 
   const double thread_ns =
       static_cast<double>(nthreads) * static_cast<double>(r.wall_ns);
@@ -1208,27 +1170,53 @@ TrialResult Trial::run() {
   return r;
 }
 
-AggregateResult run_trials(const TrialConfig& cfg) {
-  AggregateResult agg;
-  const int trials = std::max(cfg.trials, 1);
-  double peak_sum = 0;
-  for (int i = 0; i < trials; ++i) {
-    TrialConfig one = cfg;
-    one.seed = cfg.seed + static_cast<std::uint64_t>(i);
-    Trial trial(one);
-    const TrialResult r = trial.run();
-    if (i == 0) {
-      agg.min_mops = r.mops;
-      agg.max_mops = r.mops;
+AggregateResult run_trials(
+    const TrialConfig& cfg, std::vector<std::uint64_t> seeds,
+    const std::function<void(Trial&, const TrialResult&, bool)>& each) {
+  if (seeds.empty()) {
+    for (int i = 0; i < std::max(cfg.trials, 1); ++i) {
+      seeds.push_back(cfg.seed + static_cast<std::uint64_t>(i));
     }
-    agg.avg_mops += r.mops;
-    agg.min_mops = std::min(agg.min_mops, r.mops);
-    agg.max_mops = std::max(agg.max_mops, r.mops);
-    peak_sum += static_cast<double>(r.peak_bytes_mapped);
   }
-  agg.avg_mops /= trials;
-  agg.avg_peak_mib = peak_sum / trials / (1024.0 * 1024.0);
-  agg.trials = trials;
+  AggregateResult agg;
+  double mops_sum = 0;
+  double peak_sum = 0;
+  for (const std::uint64_t seed : seeds) {
+    TrialConfig one = cfg;
+    one.seed = seed;
+    Trial trial(one);
+    TrialResult r = trial.run();
+    // run() ended with flush_all: every retired node must be home and
+    // every rerouted block out of its stash.
+    const bool accounted =
+        r.ops > 0 && (r.lat_ops > 0 || !one.enable_latency) &&
+        trial.reclaimer().stats().pending == 0 &&
+        trial.reclaimer().executor().backlog() == 0 &&
+        r.stashed == r.flushed && r.stash_backlog_end == 0;
+    agg.accounted = agg.accounted && accounted;
+    agg.min_mops = agg.trials == 0 ? r.mops : std::min(agg.min_mops, r.mops);
+    agg.max_mops = std::max(agg.max_mops, r.mops);
+    mops_sum += r.mops;
+    peak_sum += static_cast<double>(r.peak_bytes_mapped);
+    agg.lat.add(trial.latency().merged());
+    for (int k = 0; k < Op::kNumKinds; ++k) {
+      agg.kind_lat[k].add(trial.latency().merged_channel(k));
+    }
+    agg.queue_lat.add(trial.queue_latency().merged());
+    agg.frees += r.alloc_diff.totals.n_free;
+    agg.remote_frees += r.alloc_diff.totals.n_remote_free;
+    agg.stashed += r.stashed;
+    agg.flushed += r.flushed;
+    agg.stash_backlog_end += r.stash_backlog_end;
+    agg.peak_garbage =
+        std::max(agg.peak_garbage, trial.garbage().peak_garbage());
+    agg.schedule = trial.schedule().name();
+    ++agg.trials;
+    if (each) each(trial, r, accounted);
+    agg.last = std::move(r);
+  }
+  agg.avg_mops = mops_sum / agg.trials;
+  agg.avg_peak_mib = peak_sum / agg.trials / (1024.0 * 1024.0);
   return agg;
 }
 

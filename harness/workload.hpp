@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -149,6 +150,11 @@ void apply_env_overrides(TrialConfig& cfg);
 /// not closed-loop single-tenant all throw naming the valid
 /// choices/ranges. Trial's constructor runs this on every config.
 void validate_config(const TrialConfig& cfg);
+
+/// The arrival schedule an open-loop trial of `cfg` serves: Trial::run
+/// generates its schedule from exactly this config, so a bench that
+/// regenerates it gets the same events.
+ArrivalConfig arrival_config(const TrialConfig& cfg);
 
 /// A TrialConfig built from defaults + every EMR_* override.
 TrialConfig config_from_env();
@@ -329,12 +335,44 @@ struct TrialResult {
   std::vector<int> pin_cpus;
 };
 
+/// The trials of one config folded over a seed list (run_trials): what
+/// a figure bench reports per cell.
 struct AggregateResult {
   double avg_mops = 0;
   double min_mops = 0;
   double max_mops = 0;
   double avg_peak_mib = 0;
   int trials = 0;
+  /// Every run progressed and accounted exactly at teardown: ops > 0,
+  /// latency samples whenever enable_latency asked for them, nothing
+  /// pending or left in an executor backlog, and a balanced stash ledger
+  /// (stashed == flushed, nothing parked).
+  bool accounted = true;
+  /// Histograms merged over the seeds, so percentiles are over the
+  /// union: every op, each Op::Kind channel, and open-loop queueing
+  /// delay.
+  LatencyHistogram lat;
+  LatencyHistogram kind_lat[Op::kNumKinds];
+  LatencyHistogram queue_lat;
+  /// Sums over the seeds: allocator frees in the window, and the
+  /// home-flush ledger at teardown.
+  std::uint64_t frees = 0;
+  std::uint64_t remote_frees = 0;
+  std::uint64_t stashed = 0;
+  std::uint64_t flushed = 0;
+  std::uint64_t stash_backlog_end = 0;
+  /// Garbage-census peak, max over the seeds.
+  std::uint64_t peak_garbage = 0;
+  /// The free schedule's name, and the last run's full result (its
+  /// penalty, clock and pin metadata hold for every seed).
+  std::string schedule;
+  TrialResult last;
+
+  double remote_share() const {
+    return frees > 0 ? static_cast<double>(remote_frees) /
+                           static_cast<double>(frees)
+                     : 0.0;
+  }
 };
 
 /// One configured run: builds allocator + reclaimer + ds/ structure,
@@ -403,7 +441,13 @@ class Trial {
   bool ran_ = false;
 };
 
-/// Runs cfg.trials independent trials and aggregates.
-AggregateResult run_trials(const TrialConfig& cfg);
+/// Runs one Trial of `cfg` per seed and folds them; an empty list runs
+/// cfg.trials seeds counting up from cfg.seed. `each`, when set, sees
+/// every trial after its run, with that run's accounted verdict, before
+/// the trial is torn down.
+AggregateResult run_trials(
+    const TrialConfig& cfg, std::vector<std::uint64_t> seeds = {},
+    const std::function<void(Trial&, const TrialResult&, bool accounted)>&
+        each = nullptr);
 
 }  // namespace emr::harness

@@ -460,6 +460,14 @@ TEST(TenantStarvationTest, HotTenantAccountedAndColdTailBounded) {
   // ...and per-tenant backlog reconciles with the enqueue/drain ledger.
   EXPECT_EQ(hot.backlog_end, hot.enqueued - hot.drained);
   EXPECT_EQ(cold.backlog_end, cold.enqueued - cold.drained);
+  // The op loop's counts agree: every completed op belongs to exactly
+  // one tenant and was timed once, on a set-op channel.
+  EXPECT_EQ(hot.completed + cold.completed, r.ops);
+  EXPECT_EQ(r.lat_ops, r.ops);
+  EXPECT_EQ(r.kind_lat[Op::kInsert].ops + r.kind_lat[Op::kErase].ops +
+                r.kind_lat[Op::kLookup].ops,
+            r.ops);
+  EXPECT_EQ(r.kind_lat[Op::kEnqueue].ops + r.kind_lat[Op::kDequeue].ops, 0u);
   // The cold tenant was served and its tail is sane.
   ASSERT_GT(cold.completed, 0u);
   EXPECT_GT(cold.lat_p999_ns, 0.0);

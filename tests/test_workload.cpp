@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ds/queue.hpp"
 #include "harness/report.hpp"
 #include "harness/workload.hpp"
 
@@ -328,6 +329,46 @@ TEST(TrialTest, PinnedTrialRunsAndReportsItsLayout) {
         << mode;
     for (int cpu : r.pin_cpus) EXPECT_GE(cpu, 0) << mode;
 #endif
+  }
+}
+
+// The op loop's books on the pipeline workload: every attempt lands in
+// exactly one per-kind tally and one latency sample (refused polls are
+// timed too), and the queue conserves values across the window.
+TEST(TrialTest, PipelineCountsEveryAttemptByKind) {
+  for (const char* reclaimer : {"hp_af_hf", "debra"}) {
+    for (const int producers : {0, 2}) {
+      SCOPED_TRACE(std::string(reclaimer) +
+                   " producers=" + std::to_string(producers));
+      TrialConfig cfg = tiny_config();
+      cfg.workload = "pipeline";
+      cfg.ds = "msqueue";
+      cfg.reclaimer = reclaimer;
+      cfg.nthreads = 3;
+      cfg.producers = producers;
+      cfg.queue_cap = 256;
+      cfg.enable_latency = true;
+      harness::Trial trial(cfg);
+      const harness::TrialResult r = trial.run();
+      const harness::TrialResult::OpKindLatency& enq =
+          r.kind_lat[Op::kEnqueue];
+      const harness::TrialResult::OpKindLatency& deq =
+          r.kind_lat[Op::kDequeue];
+      EXPECT_GT(r.ops, 0u);
+      EXPECT_EQ(r.ops, r.producer.ops + r.consumer.ops);
+      EXPECT_EQ(enq.ops, r.producer.ops + r.producer.failed);
+      EXPECT_EQ(deq.ops, r.consumer.ops + r.consumer.failed);
+      EXPECT_EQ(enq.ops + deq.ops, r.lat_ops);
+      // The prefill (half the capacity) plus every accepted enqueue was
+      // either dequeued inside the window or is still queued.
+      smr::ThreadHandle h = trial.reclaimer().register_thread();
+      std::uint64_t left = 0;
+      std::uint64_t value = 0;
+      while (trial.queue().dequeue(h, &value)) ++left;
+      EXPECT_EQ(cfg.queue_cap / 2 + r.producer.ops, r.consumer.ops + left);
+      EXPECT_EQ(r.stashed, r.flushed);
+      EXPECT_EQ(r.stash_backlog_end, 0u);
+    }
   }
 }
 
