@@ -1,15 +1,8 @@
-// Internal seam between the allocator factory and its two backend
-// families (alloc/factory.cpp routes public names here):
+// Internal seam between the allocator factory and the models
+// (alloc/factory.cpp routes public names here):
 //
 //   make_model - the deterministic size-class models over operator new
 //                (alloc/modeled_allocator.cpp), flavours je|tc|mi|system.
-//   make_real  - thin wrappers over the real jemalloc / tcmalloc /
-//                mimalloc libraries (alloc/real_allocator.cpp), compiled
-//                in per-library via EMR_HAVE_JEMALLOC / EMR_HAVE_TCMALLOC
-//                / EMR_HAVE_MIMALLOC (CMake's EMR_REAL_ALLOC=ON sets them
-//                for every library it finds). Each wrapper keeps the
-//                model's 16-byte owner/size header so the stats seams
-//                (n_alloc/n_free/n_remote_free, bytes_mapped) stay exact.
 #pragma once
 
 #include <memory>
@@ -22,13 +15,5 @@ namespace emr::alloc::detail {
 /// flavor: "je" | "tc" | "mi" | "system". Throws on anything else.
 std::unique_ptr<Allocator> make_model(const std::string& flavor,
                                       const AllocConfig& cfg);
-
-/// flavor: "je" | "tc" | "mi". Throws std::invalid_argument when the
-/// library was not found at configure time (check real_available first).
-std::unique_ptr<Allocator> make_real(const std::string& flavor,
-                                     const AllocConfig& cfg);
-
-/// True when the named real library was linked into this build.
-bool real_available(const std::string& flavor);
 
 }  // namespace emr::alloc::detail

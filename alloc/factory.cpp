@@ -1,15 +1,6 @@
-// Name routing for the allocator factory: public names resolve to the
-// model or real backend families in alloc/backends.hpp. The policy:
-//
-//   - "<flavor>_model" is always the model.
-//   - "system" is always the stats-only model flavour.
-//   - Bare "je"/"tc"/"mi" follow the build: models in a default build
-//     (bit-for-bit the pre-real-backend behavior), the real libraries
-//     under -DEMR_REAL_ALLOC=ON — and when that build couldn't find a
-//     library, constructing its bare name fails loudly with the _model
-//     escape hatch instead of silently falling back to the model (a
-//     "real" figure silently run against the model would be worse than
-//     an error).
+// Name routing for the allocator factory: every public name resolves to
+// a model flavour in alloc/backends.hpp, and "<flavor>_model" is an
+// alias of the bare flavour.
 #include <stdexcept>
 
 #include "alloc/backends.hpp"
@@ -17,52 +8,13 @@
 
 namespace emr::alloc {
 
-namespace {
-
-bool is_model_alias(const std::string& name, std::string* flavor) {
-  if (name == "je_model" || name == "tc_model" || name == "mi_model") {
-    *flavor = name.substr(0, 2);
-    return true;
-  }
-  return false;
-}
-
-bool is_bare_flavor(const std::string& name) {
-  return name == "je" || name == "tc" || name == "mi";
-}
-
-}  // namespace
-
-Backend allocator_backend(const std::string& name) {
-  std::string flavor;
-  if (name == "system" || is_model_alias(name, &flavor)) {
-    return Backend::kModel;
-  }
-  if (is_bare_flavor(name)) {
-#if defined(EMR_REAL_ALLOC)
-    return detail::real_available(name) ? Backend::kReal
-                                        : Backend::kUnavailable;
-#else
-    return Backend::kModel;
-#endif
-  }
-  throw std::invalid_argument("unknown allocator: " + name);
-}
-
 std::unique_ptr<Allocator> make_allocator(const std::string& name,
                                           const AllocConfig& cfg) {
-  std::string flavor;
-  if (is_model_alias(name, &flavor)) return detail::make_model(flavor, cfg);
-  if (name == "system") return detail::make_model(name, cfg);
-  if (is_bare_flavor(name)) {
-    switch (allocator_backend(name)) {
-      case Backend::kModel:
-        return detail::make_model(name, cfg);
-      case Backend::kReal:
-      case Backend::kUnavailable:
-        // make_real's unavailable error names the _model fallback.
-        return detail::make_real(name, cfg);
-    }
+  if (name == "je_model" || name == "tc_model" || name == "mi_model") {
+    return detail::make_model(name.substr(0, 2), cfg);
+  }
+  if (name == "je" || name == "tc" || name == "mi" || name == "system") {
+    return detail::make_model(name, cfg);
   }
   throw std::invalid_argument("unknown allocator: " + name);
 }

@@ -1,20 +1,10 @@
 // Allocator factory. Public names:
 //
-//   je | tc | mi        - the paper's three allocators. In a default
-//                         build these resolve to the deterministic
-//                         models; built with -DEMR_REAL_ALLOC=ON they
-//                         resolve to the real libraries CMake found
-//                         (jemalloc / tcmalloc / mimalloc), and throw a
-//                         pointer at the *_model name for any library
-//                         that was missing at configure time.
+//   je | tc | mi        - the paper's three allocators, as deterministic
+//                         size-class models (docs/ALLOCATORS.md).
 //   je_model | tc_model
-//   | mi_model          - always the deterministic models, regardless of
-//                         build flags (the figures' reproducible path).
+//   | mi_model          - the same models under their explicit names.
 //   system              - operator new/delete with stats only.
-//
-// allocator_backend() lets callers (CI smokes, tests) ask what a name
-// would resolve to without constructing it, so a real-backend sweep can
-// skip gracefully on a build where the library wasn't found.
 #pragma once
 
 #include <memory>
@@ -25,24 +15,12 @@
 
 namespace emr::alloc {
 
-/// What a factory name resolves to in this build.
-enum class Backend {
-  kModel,       // deterministic size-class model over operator new
-  kReal,        // linked real library (EMR_REAL_ALLOC build, lib found)
-  kUnavailable  // real backend requested by the build, library missing
-};
-
 /// Builds the named allocator. Throws std::invalid_argument for an
-/// unknown name, and for a kUnavailable real backend (the message names
-/// the *_model fallback).
+/// unknown name.
 std::unique_ptr<Allocator> make_allocator(const std::string& name,
                                           const AllocConfig& cfg);
 
 /// The names make_allocator accepts (including the *_model aliases).
 const std::vector<std::string>& allocator_names();
-
-/// What `name` resolves to; throws std::invalid_argument on an unknown
-/// name.
-Backend allocator_backend(const std::string& name);
 
 }  // namespace emr::alloc

@@ -26,8 +26,7 @@
 //   EMR_HP_SLOTS - protection slots per thread (hp/he/wfe)
 //   EMR_EPOCH_FREQ - era-clock advance rate (he/ibr/wfe/nbr)
 //   EMR_ALLOC    - je | tc | mi | system | je_model | tc_model | mi_model
-//                  (bare names mean the real library in an
-//                  -DEMR_REAL_ALLOC=ON build; docs/ALLOCATORS.md)
+//                  (docs/ALLOCATORS.md)
 //   EMR_REMOTE_PENALTY_NS - modelled cross-socket free penalty; setting
 //                  it pins the value, overriding startup calibration
 //   EMR_CALIBRATE - on | off: replace the default penalty with the
@@ -57,17 +56,17 @@
 //                  reclaimer thread; EMR_DAEMON_MS sets its tick period
 //   EMR_OUT      - artifact directory for CSV/timeline dumps
 //
-// Binaries that parse argv (bench_ablation_churn,
-// bench_ablation_adaptive, bench_fig_latency, bench_fig_service,
-// bench_fig_queue, bench_fig_homeflush) accept `--json <path>` (or
-// EMR_JSON): the result table is mirrored as a JSON array via
-// harness::emit_json, the format the committed BENCH_*.json perf
-// snapshots ingest (ci/check.sh writes BENCH_fig_latency.json,
-// BENCH_fig_service.json, BENCH_fig_queue.json and
-// BENCH_fig_homeflush.json at the repo root). The helpers below are the two lines a bench needs to opt in.
+// bench_paper takes figure ids (or --smoke) on argv. The other binaries
+// that parse argv (bench_ablation_churn, bench_ablation_adaptive,
+// bench_fig_latency, bench_fig_service, bench_fig_queue,
+// bench_fig_homeflush) accept `--json <path>` (or EMR_JSON): the result
+// table is mirrored as a JSON array via harness::emit_json, the format
+// the committed BENCH_*.json perf snapshots ingest (ci/check.sh writes
+// BENCH_fig_latency.json, BENCH_fig_service.json, BENCH_fig_queue.json
+// and BENCH_fig_homeflush.json at the repo root). The helpers below are
+// the two lines a bench needs to opt in.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -91,7 +90,7 @@ inline harness::TrialConfig default_config() {
   cfg.trials = 1;
   cfg.smr.batch_size = 2048;
   // Model the four-socket machine's remote-free cost so the RBF effect is
-  // visible at laptop scale (DESIGN.md, substitution table).
+  // visible at laptop scale (docs/ALLOCATORS.md).
   cfg.alloc.remote_free_penalty_ns = 150;
 
   // Apply env overrides on top. apply_env_overrides only touches fields
@@ -105,14 +104,6 @@ inline harness::TrialConfig default_config() {
 /// paper's walk from one socket to four).
 inline std::vector<int> default_thread_sweep() {
   return harness::thread_sweep_from_env({1, 2, 4, 8, 16});
-}
-
-/// Largest thread count of the sweep (the paper's "192 threads" column).
-inline int max_threads() {
-  const auto sweep = default_thread_sweep();
-  int m = 1;
-  for (int t : sweep) m = std::max(m, t);
-  return m;
 }
 
 /// `--json <path>` from argv, falling back to EMR_JSON; empty when

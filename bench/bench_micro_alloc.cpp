@@ -4,10 +4,9 @@
 //
 // `--smoke` bypasses google-benchmark entirely and runs a deterministic
 // counter-only sweep over every factory name — fixed loop counts, no
-// timing in the output — so CI can (a) gate allocator accounting across
-// model AND real backends and (b) diff two runs byte-for-byte as the
-// EMR_PIN=off determinism gate (ci/check.sh). Real-backend names that
-// this build couldn't link print a skip line instead of failing.
+// timing in the output — so CI can (a) gate allocator accounting on
+// every name and (b) diff two runs byte-for-byte as the EMR_PIN=off
+// determinism gate (ci/check.sh).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -102,8 +101,7 @@ BENCHMARK(BM_AmortizedRemoteFree);
 // --smoke: deterministic counter-only sweep. No timing appears in the
 // output, so two runs under EMR_PIN=off with model allocators must be
 // byte-identical — ci/check.sh diffs them as the determinism gate. Each
-// backend that IS linked must keep exact books; names the build could
-// not link are reported as skipped, never as failures.
+// name must keep exact books.
 
 int smoke_one(const std::string& name) {
   constexpr int kLocal = 512;    // local allocate/free pairs on tid 0
@@ -132,12 +130,7 @@ int smoke_one(const std::string& name) {
   const std::uint64_t expect_n = kLocal + kRemote + kLarge;
   bool ok = t.n_alloc == expect_n && t.n_free == expect_n &&
             t.n_remote_free == kRemote;
-  std::printf("%-9s backend=%-5s alloc=%llu free=%llu remote=%llu %s\n",
-              name.c_str(),
-              emr::alloc::allocator_backend(name) ==
-                      emr::alloc::Backend::kReal
-                  ? "real"
-                  : "model",
+  std::printf("%-9s alloc=%llu free=%llu remote=%llu %s\n", name.c_str(),
               static_cast<unsigned long long>(t.n_alloc),
               static_cast<unsigned long long>(t.n_free),
               static_cast<unsigned long long>(t.n_remote_free),
@@ -155,22 +148,11 @@ int smoke_one(const std::string& name) {
 
 int run_smoke() {
   int rc = 0;
-  int ran = 0;
   for (const std::string& name : emr::alloc::allocator_names()) {
-    if (emr::alloc::allocator_backend(name) ==
-        emr::alloc::Backend::kUnavailable) {
-      std::printf("%-9s backend=real  SKIP (library not linked)\n",
-                  name.c_str());
-      continue;
-    }
     rc |= smoke_one(name);
-    ++ran;
   }
-  if (ran == 0) {
-    std::fprintf(stderr, "bench_micro_alloc: no allocator backend ran\n");
-    return 1;
-  }
-  std::printf("smoke: %d backend(s) checked\n", ran);
+  std::printf("smoke: %zu allocator(s) checked\n",
+              emr::alloc::allocator_names().size());
   return rc;
 }
 

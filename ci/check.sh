@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI smoke: configure + build + ctest + one figure bench end-to-end at
-# laptop scale. Mirrors the tier-1 verify line in ROADMAP.md.
+# CI smoke: configure + build + ctest + every paper figure end to end at
+# smoke scale. Mirrors the tier-1 verify line in ROADMAP.md.
 #
 # Configure and build stop the script at the first error. Every later
 # step runs even when an earlier one failed: each failure is named as
@@ -46,8 +46,7 @@ step micro-smr "$BUILD_DIR/bench_micro_smr" --smoke
 step micro-ds "$BUILD_DIR/bench_micro_ds" --smoke
 
 # Allocator smoke: every factory name keeps exact books (alloc/free
-# counts, remote attribution, the >4096 B large-allocation bypass);
-# unavailable real backends are reported as skips, never failures.
+# counts, remote attribution, the >4096 B large-allocation bypass).
 step micro-alloc "$BUILD_DIR/bench_micro_alloc" --smoke
 
 # Determinism gate: with EMR_PIN=off and model allocators under a fixed
@@ -155,15 +154,10 @@ latency_gate() {
 }
 step latency-gate latency_gate
 
-# End-to-end: the Figure 1 sweep must produce a non-empty table + CSV.
-export EMR_MS="${EMR_MS:-30}" EMR_THREADS="${EMR_THREADS:-1 2}" \
-       EMR_TRIALS=1 EMR_KEYRANGE="${EMR_KEYRANGE:-4096}" \
-       EMR_OUT="$BUILD_DIR/emr_out"
-fig01() {
-  "$BUILD_DIR/bench_fig01_scaling" &&
-    test -s "$BUILD_DIR/emr_out/fig01_scaling.csv"
-}
-step fig01 fig01
+# End-to-end: every paper figure, table and ablation at the size
+# bench_paper --smoke fixes; each cell must account exactly and each CSV
+# must hold a data row.
+step paper env EMR_OUT="$BUILD_DIR/emr_out" "$BUILD_DIR/bench_paper" --smoke
 
 # TSAN: race-check the lock-free guarded traversals on every run. The
 # sanitized tree skips the bench binaries to keep the double build cheap;
@@ -210,38 +204,6 @@ else
   # Without GTest the unit suites (and this race check) don't build;
   # mirror the main build's degrade-with-a-warning behaviour.
   echo "ci/check.sh: GTest not found, skipping the TSAN ds race check"
-fi
-
-# Real-allocator leg: an EMR_REAL_ALLOC=ON tree routes the bare
-# je/tc/mi names to the actual libraries wherever find_library located
-# them. The smokes gate accounting (and the Table 3 pipeline) against
-# every real backend that linked; when none did — the common offline CI
-# case — the binaries print per-name skips and the tab03 smoke exits
-# non-zero, which this leg treats as a graceful skip rather than a
-# failure (bench_micro_alloc still gates the 4 model names).
-REAL_DIR="${REAL_DIR:-build-real}"
-real_build() {
-  cmake -B "$REAL_DIR" -S . -DEMR_REAL_ALLOC=ON -DEMR_BUILD_TESTS=OFF &&
-    cmake --build "$REAL_DIR" -j"$JOBS" \
-      --target bench_micro_alloc bench_tab03_allocators
-}
-tab03_real() {
-  local out rc
-  out="$("$REAL_DIR/bench_tab03_allocators" --smoke)"
-  rc=$?
-  echo "$out"
-  if [ "$rc" -ne 0 ]; then
-    if echo "$out" | grep -q "no backend available"; then
-      echo "ci/check.sh: no real allocator library on this box — skipped"
-    else
-      echo "ci/check.sh: real-allocator smoke FAILED" >&2
-      return 1
-    fi
-  fi
-}
-if step real-build real_build; then
-  step real-micro-alloc "$REAL_DIR/bench_micro_alloc" --smoke
-  step real-tab03 tab03_real
 fi
 
 if [ "${#FAILED[@]}" -ne 0 ]; then

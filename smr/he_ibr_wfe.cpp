@@ -44,8 +44,6 @@
 namespace emr::smr::internal {
 namespace {
 
-constexpr int kWfeValidateBound = 4;
-
 struct RetiredNode {
   void* p;
   std::uint64_t birth;

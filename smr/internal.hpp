@@ -55,6 +55,12 @@ struct TokenOptions {
   TokenPolicy policy = TokenPolicy::kPeriodic;
 };
 
+/// wfe's protect() gives up re-validating after this many attempts that
+/// saw the era move, and publishes an open reservation [era, +inf)
+/// instead: the bounded stand-in for the paper's wait-free helper
+/// protocol.
+inline constexpr int kWfeValidateBound = 4;
+
 /// The era-clock schemes share one implementation skeleton (global era,
 /// birth/retire stamping, reservation scan) and differ in what a thread
 /// publishes on the read side.

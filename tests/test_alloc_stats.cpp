@@ -1,8 +1,6 @@
-// Allocator accounting across every factory name — model AND real
-// backends. The harness's %free / %flush / RBF numbers are only as good
-// as these counters, and the real backends (EMR_REAL_ALLOC=ON) keep
-// their books in a wrapper header rather than the model's own bins, so
-// the invariants are asserted per name: alloc/free exactness, the
+// Allocator accounting across every factory name. The harness's %free /
+// %flush / RBF numbers are only as good as these counters, so the
+// invariants are asserted per name: alloc/free exactness, the
 // remote-free attribution, and the >4096 B large-allocation bypass
 // (large blocks skip the caches, so a cross-thread large free is not a
 // remote free — there is no thread cache to miss).
@@ -22,11 +20,6 @@ using namespace emr;
 class AllocStatsTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
-    if (alloc::allocator_backend(GetParam()) ==
-        alloc::Backend::kUnavailable) {
-      GTEST_SKIP() << "real backend '" << GetParam()
-                   << "' not linked into this build";
-    }
     alloc::AllocConfig cfg;
     cfg.max_threads = 4;
     a_ = alloc::make_allocator(GetParam(), cfg);
@@ -70,7 +63,7 @@ TEST_P(AllocStatsTest, RemoteFreeAttributionFollowsTheAllocatingThread) {
 
 TEST_P(AllocStatsTest, LargeAllocationsBypassRemoteAccounting) {
   // > 4096 B (the largest size class) goes straight to the OS path on
-  // every backend; freeing it from another thread must not count as a
+  // every allocator; freeing it from another thread must not count as a
   // remote free — there is no tcache involved to pay the RBF cost.
   constexpr int kLarge = 16;
   std::vector<void*> ptrs;

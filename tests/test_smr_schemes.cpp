@@ -4,14 +4,17 @@
 // retired node is freed at teardown, and the pointer-protecting names
 // resolve to their own families rather than aliasing the epoch
 // machinery. Scheme-specific behaviours (HP scan partitioning, era
-// grace, NBR neutralization) get their own cases at the bottom.
+// grace, WFE's bounded protect, NBR neutralization) get their own cases
+// at the bottom.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "smr/factory.hpp"
+#include "smr/internal.hpp"
 #include "tests/tracking_allocator.hpp"
 
 namespace {
@@ -214,6 +217,96 @@ TEST(SmrEra, UnreservedIntervalsReclaimWithoutReaders) {
     EXPECT_EQ(w.r().stats().pending, 0u) << name;
     EXPECT_EQ(w.allocator.live(), 0u) << name;
   }
+}
+
+// WFE's fidelity caveat, pinned: where the paper's wait-free eras run a
+// helper protocol, protect() re-validates at most kWfeValidateBound times
+// and then publishes an open reservation [era at the call's start, +inf).
+// A reader whose every load sees the era move returns after the bound;
+// every node retired at or after that floor — including nodes a writer
+// unlinks and retires while the reader spins — stays unfreed until the
+// reader's end_op, and the next scan frees it.
+TEST(SmrWfe, BoundedProtectFallsBackToAnOpenReservation) {
+  constexpr int kBatch = 8;  // lane 1's scan threshold
+  constexpr int kEarly = 2;
+  // No scan may run before the floor is up: the early retires plus one
+  // unlinked node per load stay below the threshold.
+  static_assert(kEarly + smr::internal::kWfeValidateBound + 1 < kBatch);
+  SchemeWorld w("wfe", kBatch);
+  auto retire_on_lane1 = [&w](void* p) {
+    w.r().begin_op(w.h(1));
+    w.r().retire(w.h(1), p);
+    w.r().end_op(w.h(1));
+  };
+  // Lane 1 allocates until the era ticks, keeping the nodes to retire
+  // later: their retire eras land at or after any floor published before.
+  std::vector<void*> born;
+  auto tick = [&w, &born] {
+    const std::uint64_t era = w.r().stats().epochs_advanced;
+    while (w.r().stats().epochs_advanced == era) {
+      born.push_back(w.r().alloc_node(w.h(1), 64));
+    }
+  };
+  // Born before the reader's call; a writer unlinks one per load.
+  std::vector<void*> unlinked(smr::internal::kWfeValidateBound + 1);
+  for (void*& p : unlinked) p = w.r().alloc_node(w.h(1), 64);
+
+  // Retired, then the era moves: below any floor published from here on.
+  for (int i = 0; i < kEarly; ++i) {
+    retire_on_lane1(w.r().alloc_node(w.h(1), 64));
+  }
+  ASSERT_EQ(w.r().stats().freed, 0u) << "no scan before the reader";
+  tick();
+
+  struct Source {
+    std::atomic<void*> ptr;
+    std::function<void()> on_load;
+    mutable int loads = 0;
+  };
+  const smr::Reclaimer::LoadFn advancing = [](const void* src) -> void* {
+    const auto* s = static_cast<const Source*>(src);
+    ++s->loads;
+    s->on_load();
+    return s->ptr.load(std::memory_order_acquire);
+  };
+  void* x = w.r().alloc_node(w.h(0), 64);
+  Source src{{x}, [&] {
+               tick();
+               if (unlinked.empty()) return;
+               retire_on_lane1(unlinked.back());
+               unlinked.pop_back();
+             }};
+  w.r().begin_op(w.h(0));
+  EXPECT_EQ(w.r().protect(w.h(0), 0, advancing, &src), x);
+  EXPECT_EQ(src.loads, smr::internal::kWfeValidateBound + 1)
+      << "one load per failed attempt, then one under the open floor";
+
+  // Everything lane 1 retires now has a retire era at or after the floor:
+  // x, the nodes born while the reader spun, and enough fresh ones to
+  // drive several scans. Only the early nodes may go.
+  w.r().begin_op(w.h(1));
+  w.r().retire(w.h(1), x);
+  for (void* p : born) w.r().retire(w.h(1), p);
+  for (int i = 0; i < 32; ++i) {
+    w.r().retire(w.h(1), w.r().alloc_node(w.h(1), 64));
+  }
+  w.r().end_op(w.h(1));
+  EXPECT_EQ(w.r().stats().freed, static_cast<std::uint64_t>(kEarly))
+      << "a node retired at or after the open floor was freed";
+  EXPECT_EQ(w.allocator.freed_count(x), 0u);
+
+  // The reader's end_op drops the floor; the next scan frees everything.
+  w.r().end_op(w.h(0));
+  w.r().begin_op(w.h(1));
+  for (int i = 0; i < 64 && w.r().stats().freed == kEarly; ++i) {
+    w.r().retire(w.h(1), w.r().alloc_node(w.h(1), 64));
+  }
+  w.r().end_op(w.h(1));
+  EXPECT_EQ(w.r().stats().pending, 0u);
+  EXPECT_EQ(w.allocator.freed_count(x), 1u);
+
+  w.r().flush_all();
+  EXPECT_EQ(w.allocator.live(), 0u);
 }
 
 // NBR's defining move: a neutralized reader that polls validate()
