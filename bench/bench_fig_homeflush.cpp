@@ -107,17 +107,15 @@ int run_smoke(int argc, char** argv) {
   const harness::AggregateResult hf = cell("hp_af_hf", kDefaultFlush);
   const harness::AggregateResult adaptive_hf =
       cell("hp_adaptive_hf", kDefaultFlush);
-  const harness::AggregateResult latency_hf =
-      cell("hp_latency_hf", kDefaultFlush);
   // EMR_FLUSH_BATCH sweep on the routed form: a tiny quantum flushes
   // eagerly; an oversized one re-parks garbage in the stashes.
   const harness::AggregateResult hf_small = cell("hp_af_hf", 16);
   const harness::AggregateResult hf_huge = cell("hp_af_hf", 4096);
 
   std::printf("\nremote-free share: hp_af=%.3f hp_af_hf=%.3f "
-              "(adaptive_hf=%.3f latency_hf=%.3f)\n",
+              "(adaptive_hf=%.3f)\n",
               af.remote_share(), hf.remote_share(),
-              adaptive_hf.remote_share(), latency_hf.remote_share());
+              adaptive_hf.remote_share());
   std::printf("dequeue p99.9: hp_af=%.1fus hp_af_hf=%.1fus (mops %.3f vs "
               "%.3f)\n",
               deq_p999_us(af), deq_p999_us(hf), af.avg_mops, hf.avg_mops);
@@ -200,7 +198,7 @@ int main(int argc, char** argv) {
           " cap=" + std::to_string(base.queue_cap));
 
   harness::Table table(kColumns);
-  const char* kForms[] = {"_af", "_af_hf", "_adaptive_hf", "_latency_hf"};
+  const char* kForms[] = {"_af", "_af_hf", "_adaptive_hf"};
   const std::size_t kFlushBatches[] = {16, 64, 1024, 4096};
   for (int nthreads : default_thread_sweep()) {
     const int producers = nthreads / 2;

@@ -1,4 +1,4 @@
-// Tail latency vs free schedule (ROADMAP item 2): the paper's harm —
+// Tail latency vs free schedule (docs/LATENCY.md): the paper's harm —
 // batch free can be harmful — is a *tail* phenomenon, so this sweep
 // puts p50/p99/p99.9/max next to mops for one base reclaimer under the
 // fixed batch schedule (the paper's default), fixed amortized `_af`
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   harness::print_banner(
       "Tail latency: per-op p50/p99/p99.9 vs free schedule",
       "beyond the paper: batch free's harm is a tail phenomenon "
-      "(ROADMAP item 2)",
+      "(docs/LATENCY.md)",
       describe(base) + " reclaimer=" + reclaimer_base +
           " target_us=" + std::to_string(base.smr.latency_target_us));
 

@@ -1,4 +1,4 @@
-// Queue pipeline figure (ROADMAP items 3+4): the paper's remote-free
+// Queue pipeline figure (docs/DATA_STRUCTURES.md): the paper's remote-free
 // cost needs an *asymmetric* producer/consumer split to actually get
 // charged. A symmetric MPMC trial (every worker alternates enqueue and
 // dequeue) recycles queue nodes through each worker's own tcache, so
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   harness::print_banner(
       "Queue pipeline: symmetric vs asymmetric producer/consumer split",
       "beyond the paper: the remote-free cost needs a role split to get "
-      "charged (ROADMAP items 3+4)",
+      "charged (docs/DATA_STRUCTURES.md)",
       describe(base) + " reclaimer=" + reclaimer_base +
           " cap=" + std::to_string(base.queue_cap));
 

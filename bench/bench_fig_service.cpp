@@ -1,4 +1,4 @@
-// Service-mode figure (docs/SERVICE_MODE.md, ROADMAP item 3): the
+// Service-mode figure (docs/SERVICE_MODE.md): the
 // measurement closed loops structurally cannot make — open-loop arrival
 // traffic against the same structures. A closed loop issues the next op
 // the moment the last one returns, so past saturation the throughput
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
   harness::print_banner(
       "Service mode: open-loop arrivals, queueing delay, tenants, daemon",
       "beyond the paper: closed loops cannot see queueing collapse "
-      "(ROADMAP item 3, docs/SERVICE_MODE.md)",
+      "(docs/SERVICE_MODE.md)",
       describe(base) + " reclaimer=" + base.reclaimer +
           " daemon=" + base.reclaimer_daemon);
 

@@ -78,21 +78,21 @@ step churn "$BUILD_DIR/bench_ablation_churn" --smoke
 # while the fixed batch schedule remains the worst case.
 step adaptive "$BUILD_DIR/bench_ablation_adaptive" --smoke
 
-# Tail-latency smoke: the figure behind ROADMAP item 2 — fixed-batch
-# p99.9 blows up by multiples while mops stays flat, and the _latency
-# schedule pulls the tail back inside its target band. Writes the
-# committed snapshot at the repo root (test_report parses it strictly).
+# Tail-latency smoke (docs/LATENCY.md): fixed-batch p99.9 blows up by
+# multiples while mops stays flat, and the _latency schedule pulls the
+# tail back inside its target band. Writes the committed snapshot at
+# the repo root (test_report parses it strictly).
 step fig-latency smoke_json bench_fig_latency BENCH_fig_latency.json
 
-# Service-mode smoke (ROADMAP item 3, docs/SERVICE_MODE.md): the offered
-# schedule is deterministic per seed, open-loop queueing p99.9 explodes
+# Service-mode smoke (docs/SERVICE_MODE.md): the offered schedule is
+# deterministic per seed, open-loop queueing p99.9 explodes
 # past saturation while the served rate stays in the capacity band, and
 # on the hot/cold-tenant churn scenario the aggressive daemon clears the
 # idle-tail garbage that daemon-off strands. Writes the committed
 # snapshot at the repo root (test_report parses it strictly).
 step fig-service smoke_json bench_fig_service BENCH_fig_service.json
 
-# Queue-pipeline smoke (ROADMAP items 3+4): the MPMC queue under the
+# Queue-pipeline smoke (docs/DATA_STRUCTURES.md): the MPMC queue under the
 # role-split workload — the asymmetric layout must charge a higher
 # remote-free share than the symmetric one, and its fixed-batch dequeue
 # p99.9 must blow past 2x the _af tail at comparable mops, over two

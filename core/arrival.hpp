@@ -1,5 +1,5 @@
 // Seeded open-loop arrival schedules for the service-mode harness
-// (docs/SERVICE_MODE.md, ROADMAP item 3). A schedule is generated once,
+// (docs/SERVICE_MODE.md). A schedule is generated once,
 // up front, from (process, rate, skew, phases, seed) — never from the
 // measured run — so the offered load is a pure function of the config:
 // the same seed yields a byte-identical schedule on every run and at

@@ -1,4 +1,4 @@
-// Measured remote-free cost (ROADMAP item 1): instead of hand-tuning
+// Measured remote-free cost (docs/ALLOCATORS.md): instead of hand-tuning
 // EMR_REMOTE_PENALTY_NS, measure what a cross-core cache-line transfer
 // actually costs on this machine and feed that into the allocator model.
 //

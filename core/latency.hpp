@@ -9,8 +9,9 @@
 //
 // The paper's harm is a *tail* phenomenon: a whole-bag free stalls one
 // unlucky op while throughput stays flat, so mops alone cannot show it.
-// This recorder is what makes p99.9 a first-class column (ROADMAP item
-// 2) and the feedback signal for the latency-target free schedule.
+// This recorder is what makes p99.9 a first-class column
+// (docs/LATENCY.md) and the feedback signal for the latency-target free
+// schedule.
 #pragma once
 
 #include <array>

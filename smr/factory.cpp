@@ -47,8 +47,8 @@ bool takes_suffix(const std::string& name) {
 
 std::string reclaimer_base_name(const std::string& name) {
   // "_hf" (home-flush) is the outermost suffix: it composes with every
-  // suffixable form (hp_hf, hp_af_hf, token_latency_hf), so strip it
-  // before the schedule suffix.
+  // suffixable form but `_latency` (hp_hf, hp_af_hf, token_adaptive_hf),
+  // so strip it before the schedule suffix.
   std::string rest = name;
   if (ends_with(rest, "_hf")) rest = rest.substr(0, rest.size() - 3);
   if (takes_suffix(rest)) {
@@ -75,12 +75,10 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   // SmrConfig::home_flush ("on"/"off", EMR_HOME_FLUSH) overrides the
   // name-derived setting either way, so one binary can A/B the routing
   // layer without renaming its reclaimer column.
-  bool hf = false;
-  std::string stem = name;
-  if (ends_with(stem, "_hf")) {
-    hf = true;
-    stem = stem.substr(0, stem.size() - 3);
-  }
+  const bool named_hf = ends_with(name, "_hf");
+  bool hf = named_hf;
+  const std::string stem =
+      named_hf ? name.substr(0, name.size() - 3) : name;
   if (!cfg.home_flush.empty()) {
     if (cfg.home_flush == "on") {
       hf = true;
@@ -94,13 +92,15 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   }
 
   // Suffixed forms of the fixed token variants ("token_naive_af",
-  // "token_naive_hf") are not in the name grammar — reject them rather
-  // than constructing an untested combination.
+  // "token_naive_hf") and the `_latency_hf` spelling are not in the name
+  // grammar — reject them rather than constructing an untested
+  // combination.
   const std::string base = reclaimer_base_name(stem);
-  if (!takes_suffix(base) && base != name) {
+  const std::string suffix = stem.substr(base.size());
+  if ((!takes_suffix(base) && base != name) ||
+      (named_hf && suffix == "_latency")) {
     throw std::invalid_argument("unknown reclaimer: " + name);
   }
-  const std::string suffix = stem.substr(base.size());
   ExecKind exec = ExecKind::kBatch;
   ScheduleKind sched = ScheduleKind::kFixed;
   if (suffix == "_af") {
@@ -213,8 +213,8 @@ const std::vector<std::string>& all_factory_names() {
       names.push_back(base + "_pool");
       names.push_back(base + "_adaptive");
       names.push_back(base + "_latency");
-      // Home-flush twin of every suffixable form.
-      for (const char* sfx : {"", "_af", "_pool", "_adaptive", "_latency"}) {
+      // Home-flush twin of every suffixable form but `_latency`.
+      for (const char* sfx : {"", "_af", "_pool", "_adaptive"}) {
         names.push_back(base + sfx + "_hf");
       }
     }

@@ -37,7 +37,8 @@ const std::vector<std::string>& reclaimer_names();
 
 /// Every constructible name: all bases crossed with the suffix grammar
 /// (the two fixed token variants take no
-/// `_af`/`_pool`/`_adaptive`/`_latency`).
+/// `_af`/`_pool`/`_adaptive`/`_latency`, and the `_hf` home-flush twin
+/// exists for every form but `_latency`).
 /// The single source of truth for sweeps that claim to cover "all
 /// names" — the smoke check and the parameterized scheme tests both
 /// iterate this.

@@ -254,13 +254,9 @@ class FreeSchedule {
   /// (docs/FREE_SCHEDULES.md). Like drain_quota it is a hard per-op
   /// ceiling; unlike drain_quota the work is all-local frees, so
   /// policies may afford a larger quantum. Called concurrently from
-  /// every lane (and the daemon) like drain_quota. The default is a
-  /// modest constant so third-party policies keep working; the shipped
+  /// every lane (and the daemon) like drain_quota. The shipped
   /// policies derive it from SmrConfig::flush_batch.
-  virtual std::size_t flush_quota(const LaneStats& lane) const {
-    (void)lane;
-    return 64;
-  }
+  virtual std::size_t flush_quota(const LaneStats& lane) const = 0;
 
   /// Nodes one background-reclaimer tick may free from this lane
   /// (smr/reclaimer_daemon.hpp). The daemon runs off the op path, so

@@ -1,4 +1,4 @@
-// Background reclaimer daemon (docs/SERVICE_MODE.md, ROADMAP item 3):
+// Background reclaimer daemon (docs/SERVICE_MODE.md):
 // a dedicated thread that drains FreeExecutor backlogs through the
 // bundle's FreeSchedule quota path, off the operation hot path. The
 // motivating regime is open-loop traffic: op-driven reclamation only

@@ -298,8 +298,8 @@ TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
   EXPECT_EQ(smr::reclaimer_base_name("he_latency"), "he");
   EXPECT_EQ(smr::reclaimer_base_name("token_latency"), "token");
   const std::vector<std::string> names = smr::all_factory_names();
-  // 13 bases + 11 suffixable x (4 schedule suffixes + 5 _hf twins).
-  EXPECT_EQ(names.size(), 112u);
+  // 2 fixed token variants + 11 suffixable x (5 forms + 4 _hf twins).
+  EXPECT_EQ(names.size(), 101u);
   auto has = [&](const char* n) {
     for (const std::string& s : names) {
       if (s == n) return true;
@@ -310,6 +310,10 @@ TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
   EXPECT_TRUE(has("token_latency"));
   EXPECT_TRUE(has("nbr_latency"));
   EXPECT_FALSE(has("token_naive_latency"));  // fixed-policy probes only
+  // `_latency` has no home-flush twin.
+  for (const std::string& n : names) {
+    EXPECT_EQ(n.find("_latency_hf"), std::string::npos) << n;
+  }
 }
 
 TEST(FreeSchedule, ScheduleOverrideGovernsAnyName) {

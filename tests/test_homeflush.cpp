@@ -55,10 +55,11 @@ TEST(HomeFlush, HfNamesInTheFactoryGrammar) {
   EXPECT_EQ(smr::reclaimer_base_name("hp_hf"), "hp");
   EXPECT_EQ(smr::reclaimer_base_name("hp_af_hf"), "hp");
   EXPECT_EQ(smr::reclaimer_base_name("debra_pool_hf"), "debra");
-  EXPECT_EQ(smr::reclaimer_base_name("token_latency_hf"), "token");
+  EXPECT_EQ(smr::reclaimer_base_name("token_adaptive_hf"), "token");
   const std::vector<std::string> names = smr::all_factory_names();
-  // 2 fixed token variants + 11 suffixable bases x (5 forms x {plain,_hf}).
-  EXPECT_EQ(names.size(), 112u);
+  // 2 fixed token variants + 11 suffixable bases x (5 forms + 4 _hf
+  // twins: `_latency` has none).
+  EXPECT_EQ(names.size(), 101u);
   auto has = [&](const char* n) {
     for (const std::string& s : names) {
       if (s == n) return true;
@@ -68,7 +69,7 @@ TEST(HomeFlush, HfNamesInTheFactoryGrammar) {
   EXPECT_TRUE(has("hp_hf"));
   EXPECT_TRUE(has("hp_af_hf"));
   EXPECT_TRUE(has("debra_adaptive_hf"));
-  EXPECT_TRUE(has("token_latency_hf"));
+  EXPECT_TRUE(has("token_adaptive_hf"));
   EXPECT_FALSE(has("token_naive_hf"));  // fixed-policy probes only
   EXPECT_FALSE(has("token_passfirst_hf"));
 }

@@ -324,8 +324,9 @@ TEST(Report, NonFiniteCellsStayParseableStrings) {
 }
 
 // The committed snapshot at the repo root must parse with this same
-// strict grammar and carry the columns the latency figure promises,
-// numerically typed. EMR_SOURCE_DIR comes from CMake.
+// strict grammar, carry the columns the latency figure promises,
+// numerically typed, and hold exactly the rows the figure writes.
+// EMR_SOURCE_DIR comes from CMake.
 TEST(Report, CommittedLatencySnapshotParses) {
   const std::string path =
       std::string(EMR_SOURCE_DIR) + "/BENCH_fig_latency.json";
@@ -334,13 +335,13 @@ TEST(Report, CommittedLatencySnapshotParses) {
   std::stringstream text;
   text << in.rdbuf();
   const std::vector<JsonObject> rows = parse_or_die(text.str());
-  ASSERT_GE(rows.size(), 4u) << "one row per schedule at minimum";
 
   const char* const kNumeric[] = {
       "threads",     "mops",        "p50_us",      "p99_us",
       "p999_us",     "max_us",      "ins_p999_us", "ers_p999_us",
       "lkp_p999_us", "ops",         "target_us",   "penalty_ns"};
   const char* const kString[] = {"reclaimer", "schedule", "clock", "pin"};
+  std::vector<std::string> cells;
   for (const JsonObject& row : rows) {
     auto find = [&](const std::string& key) -> const JsonValue* {
       for (const auto& [k, v] : row) {
@@ -359,7 +360,11 @@ TEST(Report, CommittedLatencySnapshotParses) {
       EXPECT_EQ(v->kind, JsonValue::kString) << key;
       EXPECT_FALSE(v->str.empty()) << key;
     }
+    cells.push_back(find("reclaimer")->str);
   }
+  // One row per schedule: batch, _af, _adaptive, _latency.
+  EXPECT_EQ(cells, (std::vector<std::string>{"hp", "hp_af", "hp_adaptive",
+                                             "hp_latency"}));
 }
 
 TEST(Report, CommittedQueueSnapshotParses) {
@@ -370,9 +375,6 @@ TEST(Report, CommittedQueueSnapshotParses) {
   std::stringstream text;
   text << in.rdbuf();
   const std::vector<JsonObject> rows = parse_or_die(text.str());
-  // One row per layout x schedule: {sym, asym} x {batch, _af, _adaptive,
-  // _latency}.
-  ASSERT_GE(rows.size(), 8u);
 
   const char* const kNumeric[] = {
       "producers", "threads",      "mops",    "enq_p999_us",
@@ -380,8 +382,7 @@ TEST(Report, CommittedQueueSnapshotParses) {
       "penalty_ns"};
   const char* const kString[] = {"layout", "ds",    "reclaimer",
                                  "schedule", "clock", "pin"};
-  bool saw_sym = false;
-  bool saw_asym = false;
+  std::vector<std::string> cells;
   for (const JsonObject& row : rows) {
     auto find = [&](const std::string& key) -> const JsonValue* {
       for (const auto& [k, v] : row) {
@@ -407,16 +408,19 @@ TEST(Report, CommittedQueueSnapshotParses) {
     EXPECT_LE(share, 1.0);
     const std::string& layout = find("layout")->str;
     if (layout == "sym") {
-      saw_sym = true;
       EXPECT_DOUBLE_EQ(find("producers")->num, 0) << "sym means no split";
     } else {
-      saw_asym = true;
       EXPECT_EQ(layout, "asym");
       EXPECT_GT(find("producers")->num, 0);
     }
+    cells.push_back(layout + " " + find("reclaimer")->str);
   }
-  EXPECT_TRUE(saw_sym) << "snapshot must contain symmetric-layout rows";
-  EXPECT_TRUE(saw_asym) << "snapshot must contain asymmetric-layout rows";
+  // One row per layout x schedule: {sym, asym} x {batch, _af, _adaptive,
+  // _latency}.
+  EXPECT_EQ(cells, (std::vector<std::string>{
+                       "sym hp", "sym hp_af", "sym hp_adaptive",
+                       "sym hp_latency", "asym hp", "asym hp_af",
+                       "asym hp_adaptive", "asym hp_latency"}));
 }
 
 TEST(Report, CommittedHomeflushSnapshotParses) {
@@ -427,9 +431,6 @@ TEST(Report, CommittedHomeflushSnapshotParses) {
   std::stringstream text;
   text << in.rdbuf();
   const std::vector<JsonObject> rows = parse_or_die(text.str());
-  // The control, three _hf schedule forms, and the two flush-batch
-  // sweep points.
-  ASSERT_GE(rows.size(), 6u);
 
   const char* const kNumeric[] = {
       "flush_batch", "producers",    "threads",
@@ -438,8 +439,7 @@ TEST(Report, CommittedHomeflushSnapshotParses) {
       "stash_backlog_end", "peak_garbage", "penalty_ns"};
   const char* const kString[] = {"reclaimer", "schedule", "ds", "clock",
                                  "pin"};
-  bool saw_hf = false;
-  bool saw_plain = false;
+  std::vector<std::string> cells;
   for (const JsonObject& row : rows) {
     auto find = [&](const std::string& key) -> const JsonValue* {
       for (const auto& [k, v] : row) {
@@ -471,15 +471,19 @@ TEST(Report, CommittedHomeflushSnapshotParses) {
     EXPECT_DOUBLE_EQ(find("stashed")->num, find("flushed")->num)
         << reclaimer;
     if (hf) {
-      saw_hf = true;
       EXPECT_GT(find("stashed")->num, 0) << reclaimer;
     } else {
-      saw_plain = true;
       EXPECT_DOUBLE_EQ(find("stashed")->num, 0) << reclaimer;
     }
+    cells.push_back(reclaimer + " fb=" +
+                    std::to_string(static_cast<long long>(
+                        find("flush_batch")->num)));
   }
-  EXPECT_TRUE(saw_hf) << "snapshot must contain _hf rows";
-  EXPECT_TRUE(saw_plain) << "snapshot must contain a non-hf control row";
+  // The non-hf control, the two _hf schedule forms, and the two
+  // flush-batch sweep points.
+  EXPECT_EQ(cells, (std::vector<std::string>{
+                       "hp_af fb=64", "hp_af_hf fb=64", "hp_adaptive_hf fb=64",
+                       "hp_af_hf fb=16", "hp_af_hf fb=4096"}));
 }
 
 TEST(Report, CommittedServiceSnapshotParses) {

@@ -159,6 +159,7 @@ TEST(SmrFamilies, PointerSchemesAreNotEbrAliases) {
 // Suffixed forms of the fixed token variants are outside the name
 // grammar (and outside all_factory_names()' coverage), so the factory
 // must refuse them instead of constructing untested combinations.
+// Nor does `_latency` take the `_hf` home-flush marker.
 TEST(SmrFamilies, FixedTokenVariantsTakeNoSuffix) {
   TrackingAllocator allocator;
   smr::SmrContext ctx;
@@ -167,7 +168,7 @@ TEST(SmrFamilies, FixedTokenVariantsTakeNoSuffix) {
   for (const char* name :
        {"token_naive_af", "token_naive_pool", "token_naive_adaptive",
         "token_passfirst_af", "token_passfirst_pool",
-        "token_passfirst_adaptive"}) {
+        "token_passfirst_adaptive", "hp_latency_hf", "token_latency_hf"}) {
     EXPECT_THROW(smr::make_reclaimer(name, ctx, cfg),
                  std::invalid_argument)
         << name;

@@ -105,6 +105,10 @@ TEST(TrialTest, InvalidConfigsFailFastWithValidNames) {
   expect_throw_listing(cfg, "debra");
 
   cfg = tiny_config();
+  cfg.reclaimer = "hp_latency_hf";  // `_latency` takes no `_hf`
+  expect_throw_listing(cfg, "hp_adaptive_hf");
+
+  cfg = tiny_config();
   cfg.allocator = "hoard";
   expect_throw_listing(cfg, "je");
 
