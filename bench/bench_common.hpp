@@ -8,9 +8,8 @@
 //   EMR_KEYRANGE - key range (paper: 2e7 for ABtree, 2e6 for DGT)
 //   EMR_BATCH    - retire batch size / scan threshold (Experiment 2: 32768)
 //   EMR_SCHEDULE - free-schedule policy override for any reclaimer
-//                  name: fixed | adaptive | latency (default: follow
-//                  the name's suffix; see docs/FREE_SCHEDULES.md)
-//   EMR_LATENCY_TARGET_US - p99.9 target steering the latency schedule
+//                  name: fixed | adaptive (default: follow the name's
+//                  suffix; see docs/FREE_SCHEDULES.md)
 //   EMR_LATENCY  - 1 = record per-op latency histograms (docs/LATENCY.md)
 //   EMR_DRAIN_MIN / EMR_DRAIN_MAX - clamp on the adaptive schedule's
 //                  per-op drain quantum
@@ -136,8 +135,8 @@ inline void maybe_write_json(const harness::Table& table,
 /// keeps drains frequent enough to sit above the p99.9 rank. The gates
 /// are tuned to this exact penalty, so startup calibration must not
 /// substitute the host's measured cache-line cost. The permissive
-/// drain_max leaves the _adaptive/_latency quantum to the controllers
-/// (ns-per-free cap, tail feedback), not the default ceiling.
+/// drain_max leaves the _adaptive quantum to its controller (backlog
+/// horizon, ns-per-free cap), not the default ceiling.
 inline harness::TrialConfig tail_cell_config(const std::string& reclaimer) {
   harness::TrialConfig cfg;
   cfg.reclaimer = reclaimer;
@@ -151,7 +150,6 @@ inline harness::TrialConfig tail_cell_config(const std::string& reclaimer) {
   cfg.alloc.remote_free_penalty_ns = 500;
   cfg.alloc.remote_penalty_explicit = true;
   cfg.smr.drain_max = 256;
-  cfg.smr.latency_target_us = 15;
   return cfg;
 }
 

@@ -8,8 +8,8 @@
 // that never allocates — the consumer tcaches overflow continuously and
 // each flush returns foreign blocks to their owners' arenas at the
 // measured remote-free cost. This sweep puts the two layouts side by
-// side for one base reclaimer under the fixed batch schedule, `_af`,
-// `_adaptive` and `_latency`, reporting per-op-kind tails (enqueue and
+// side for one base reclaimer under the fixed batch schedule, `_af`
+// and `_adaptive`, reporting per-op-kind tails (enqueue and
 // dequeue separately — batch drains ride the dequeue path, where retire
 // happens) and the remote-free share that tells the layouts apart.
 //
@@ -29,6 +29,7 @@
 // bench_fig_latency, now driven by the role split.
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "bench_common.hpp"
 #include "ds/queue.hpp"
@@ -39,7 +40,7 @@ using namespace emr::bench;
 
 namespace {
 
-const char* kSuffixes[] = {"", "_af", "_adaptive", "_latency"};
+const char* kSuffixes[] = {"", "_af", "_adaptive"};
 
 const std::vector<std::string> kColumns = {
     "layout",      "producers",    "threads",     "ds",
@@ -93,15 +94,15 @@ int run_smoke(int argc, char** argv) {
   // layout x schedule on the shared tail cell, 8 workers (4+4 in the
   // asymmetric layout): sym rows first, then asym, so the table reads
   // as two blocks.
-  harness::AggregateResult sym[4];
-  harness::AggregateResult asym[4];
+  harness::AggregateResult sym[std::size(kSuffixes)];
+  harness::AggregateResult asym[std::size(kSuffixes)];
   bool ok = true;
-  for (int s = 0; s < 4; ++s) {
+  for (std::size_t s = 0; s < std::size(kSuffixes); ++s) {
     sym[s] = run_row(table, tail_pipeline_config(base + kSuffixes[s], 0),
                      kSmokeSeeds);
     ok &= sym[s].accounted;
   }
-  for (int s = 0; s < 4; ++s) {
+  for (std::size_t s = 0; s < std::size(kSuffixes); ++s) {
     asym[s] = run_row(table, tail_pipeline_config(base + kSuffixes[s], 4),
                       kSmokeSeeds);
     ok &= asym[s].accounted;
@@ -120,7 +121,7 @@ int run_smoke(int argc, char** argv) {
   // foreign essentially always. The margin is the symmetric layout's
   // own-tcache hit rate, ~1/nthreads, so 0.05 is conservative at 8
   // threads.
-  for (int s = 0; s < 4; ++s) {
+  for (std::size_t s = 0; s < std::size(kSuffixes); ++s) {
     if (asym[s].remote_share() < sym[s].remote_share() + 0.05) {
       std::printf("FAILED: %s%s asym remote share (%.3f) is not above the "
                   "sym share (%.3f) by 0.05\n",

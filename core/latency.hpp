@@ -4,14 +4,13 @@
 // (bucket counter + running max) — no locks, no allocation, no
 // cross-lane traffic — so the recorder can stay armed around every
 // operation of a trial without perturbing the tail it measures. Lanes
-// merge at read time (trial end or the schedule sampler's beat) into a
-// plain LatencyHistogram that percentile queries interpolate over.
+// merge at read time (trial end) into a plain LatencyHistogram that
+// percentile queries interpolate over.
 //
 // The paper's harm is a *tail* phenomenon: a whole-bag free stalls one
 // unlucky op while throughput stays flat, so mops alone cannot show it.
 // This recorder is what makes p99.9 a first-class column
-// (docs/LATENCY.md) and the feedback signal for the latency-target free
-// schedule.
+// (docs/LATENCY.md).
 #pragma once
 
 #include <array>

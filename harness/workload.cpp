@@ -110,17 +110,6 @@ void apply_env_overrides(TrialConfig& cfg) {
     }
     cfg.smr.extra_slots = static_cast<std::size_t>(v);
   }
-  if (env_has("EMR_LATENCY_TARGET_US")) {
-    const long long v = env_i64("EMR_LATENCY_TARGET_US", -1);
-    if (v < 1) {
-      throw std::invalid_argument(
-          "invalid EMR_LATENCY_TARGET_US: '" +
-          env_str("EMR_LATENCY_TARGET_US", "") +
-          "' (must be >= 1: the latency schedule's p99.9 target in "
-          "microseconds)");
-    }
-    cfg.smr.latency_target_us = static_cast<std::uint64_t>(v);
-  }
   if (env_has("EMR_LATENCY")) {
     cfg.enable_latency = env_i64("EMR_LATENCY", 0) != 0;
   }
@@ -681,17 +670,14 @@ TrialResult Trial::run() {
   garbage_.reset(false);
   // The latency recorder arms before the workers spawn (its lane table
   // is allocated off the hot path); workers only record once `go` opens
-  // the measured window. A latency-feedback schedule forces it on —
-  // the controller is open-loop without the signal. Channels split the
-  // service tail by op kind (insert/erase/lookup).
-  const bool want_feedback = bundle_.schedule->wants_latency_feedback();
-  const bool record_lat = cfg_.enable_latency || want_feedback;
-  latency_.reset(lanes, Op::kNumKinds, record_lat);
+  // the measured window, and only when the trial asked for it.
+  // Channels split the service tail by op kind (insert/erase/lookup).
+  latency_.reset(lanes, Op::kNumKinds, cfg_.enable_latency);
   // Queueing delay (service start minus scheduled arrival) only exists
   // against an arrival schedule; the per-tenant service recorder keys
   // its "lanes" by tenant.
   queue_latency_.reset(lanes, service);
-  tenant_latency_.reset(ntenants, record_lat && multi);
+  tenant_latency_.reset(ntenants, cfg_.enable_latency && multi);
   for (std::size_t t = 0; t < sets_.size(); ++t) {
     prefill(*sets_[t], *bundle_.reclaimer, cfg_, static_cast<int>(t));
   }
@@ -940,52 +926,36 @@ TrialResult Trial::run() {
   garbage_.reset(cfg_.enable_garbage);
 
   // Free-schedule sampler: a backlog / drain-quantum / population
-  // timeline across the measured window, doubling as the tail-latency
-  // feedback pump for latency-steered schedules. Lane counters are
-  // atomics and drain_quota is a read-only policy query, so sampling
-  // races nothing; the latency recorder's counters are relaxed atomics,
-  // so a mid-trial merge is stale-but-never-torn.
+  // timeline across the measured window. Lane counters are atomics and
+  // drain_quota is a read-only policy query, so sampling races nothing.
   std::vector<ScheduleSample> schedule_trace;
   std::thread sampler;
-  if (cfg_.enable_schedule_trace || want_feedback) {
+  if (cfg_.enable_schedule_trace) {
     const int sample_ms = cfg_.schedule_sample_ms;  // validated >= 1
     sampler = std::thread([&, sample_ms] {
       smr::FreeExecutor& ex = bundle_.reclaimer->executor();
       smr::FreeSchedule& sched = *bundle_.schedule;
       while (!stop.load(std::memory_order_relaxed)) {
-        if (want_feedback) {
-          // The window-cumulative p99.9: deliberately conservative —
-          // once a drain burst has polluted the tail the controller
-          // stays backed off, instead of oscillating on a noisy
-          // per-beat estimate (docs/LATENCY.md).
-          const LatencyHistogram h = latency_.merged();
-          if (h.count > 0) {
-            sched.on_tail_latency(
-                static_cast<std::uint64_t>(latency_percentile(h, 0.999)));
-          }
+        std::uint64_t total = 0;
+        smr::LaneStats busiest;
+        for (std::size_t i = 0; i < ex.lane_count(); ++i) {
+          const smr::LaneStats ls = ex.lane_stats(static_cast<int>(i));
+          total += ls.backlog;
+          if (ls.backlog >= busiest.backlog) busiest = ls;
         }
-        if (cfg_.enable_schedule_trace) {
-          std::uint64_t total = 0;
-          smr::LaneStats busiest;
-          for (std::size_t i = 0; i < ex.lane_count(); ++i) {
-            const smr::LaneStats ls = ex.lane_stats(static_cast<int>(i));
-            total += ls.backlog;
-            if (ls.backlog >= busiest.backlog) busiest = ls;
-          }
-          ScheduleSample s;
-          s.t_ms = (now_ns() - t0) / 1'000'000;
-          s.backlog = total;
-          s.drain_quota = sched.drain_quota(busiest);
-          s.population = bundle_.reclaimer->active_slots();
-          schedule_trace.push_back(s);
-          if (cfg_.enable_garbage) {
-            // The schemes only report to the census while ops run; in an
-            // open-loop quiet phase the executor-held backlog *is* the
-            // garbage story, so the sampler feeds it in under the
-            // current epoch (record keeps the per-epoch max).
-            garbage_.record(bundle_.reclaimer->stats().epochs_advanced,
-                            total);
-          }
+        ScheduleSample s;
+        s.t_ms = (now_ns() - t0) / 1'000'000;
+        s.backlog = total;
+        s.drain_quota = sched.drain_quota(busiest);
+        s.population = bundle_.reclaimer->active_slots();
+        schedule_trace.push_back(s);
+        if (cfg_.enable_garbage) {
+          // The schemes only report to the census while ops run; in an
+          // open-loop quiet phase the executor-held backlog *is* the
+          // garbage story, so the sampler feeds it in under the current
+          // epoch (record keeps the per-epoch max).
+          garbage_.record(bundle_.reclaimer->stats().epochs_advanced,
+                          total);
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(sample_ms));
       }

@@ -55,9 +55,8 @@ struct TrialConfig {
   int schedule_sample_ms = 2;
   /// Per-op latency measurement: workers clock every operation into a
   /// per-lane log2 histogram (core/latency.hpp) and TrialResult carries
-  /// the merged p50/p99/p99.9/max. Forced on when the free schedule
-  /// wants tail-latency feedback (*_latency names), whose controller
-  /// the sampler thread then pumps every schedule_sample_ms.
+  /// the merged p50/p99/p99.9/max. Only this flag arms the recorder;
+  /// with it off, ops take no clock reads for it.
   bool enable_latency = false;
   std::uint64_t timeline_min_duration_ns = 10'000;
   // ---- service mode (docs/SERVICE_MODE.md) ----
@@ -256,7 +255,7 @@ struct TrialResult {
   std::uint64_t flushed = 0;
   std::uint64_t stash_backlog_end = 0;
   /// Per-op latency over the measured window (zeros unless
-  /// enable_latency or a latency-feedback schedule armed the recorder).
+  /// enable_latency armed the recorder).
   /// Percentiles are log2-bucket interpolations clamped to the exact
   /// max; see docs/LATENCY.md for the error model.
   std::uint64_t lat_ops = 0;  // recorded samples

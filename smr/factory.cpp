@@ -47,8 +47,8 @@ bool takes_suffix(const std::string& name) {
 
 std::string reclaimer_base_name(const std::string& name) {
   // "_hf" (home-flush) is the outermost suffix: it composes with every
-  // suffixable form but `_latency` (hp_hf, hp_af_hf, token_adaptive_hf),
-  // so strip it before the schedule suffix.
+  // suffixable form (hp_hf, hp_af_hf, token_adaptive_hf), so strip it
+  // before the schedule suffix.
   std::string rest = name;
   if (ends_with(rest, "_hf")) rest = rest.substr(0, rest.size() - 3);
   if (takes_suffix(rest)) {
@@ -56,9 +56,6 @@ std::string reclaimer_base_name(const std::string& name) {
     if (ends_with(rest, "_pool")) return rest.substr(0, rest.size() - 5);
     if (ends_with(rest, "_adaptive")) {
       return rest.substr(0, rest.size() - 9);
-    }
-    if (ends_with(rest, "_latency")) {
-      return rest.substr(0, rest.size() - 8);
     }
   }
   return rest;
@@ -92,13 +89,11 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   }
 
   // Suffixed forms of the fixed token variants ("token_naive_af",
-  // "token_naive_hf") and the `_latency_hf` spelling are not in the name
-  // grammar — reject them rather than constructing an untested
-  // combination.
+  // "token_naive_hf") are not in the name grammar — reject them rather
+  // than constructing an untested combination.
   const std::string base = reclaimer_base_name(stem);
   const std::string suffix = stem.substr(base.size());
-  if ((!takes_suffix(base) && base != name) ||
-      (named_hf && suffix == "_latency")) {
+  if (!takes_suffix(base) && base != name) {
     throw std::invalid_argument("unknown reclaimer: " + name);
   }
   ExecKind exec = ExecKind::kBatch;
@@ -112,11 +107,6 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
     // seal/scan thresholds come from the population-aware controller.
     exec = ExecKind::kAmortized;
     sched = ScheduleKind::kAdaptive;
-  } else if (suffix == "_latency") {
-    // Same amortizing executor, quantum steered by the observed per-op
-    // tail (the driver pumps p99.9 through FreeSchedule::on_tail_latency).
-    exec = ExecKind::kAmortized;
-    sched = ScheduleKind::kLatency;
   }
 
   ReclaimerBundle bundle;
@@ -137,10 +127,9 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
     if (suffix.empty()) {
       topt = {"token", TokenPolicy::kPeriodic};
     } else {
-      topt = {suffix == "_af"         ? "token_af"
-              : suffix == "_pool"     ? "token_pool"
-              : suffix == "_adaptive" ? "token_adaptive"
-                                      : "token_latency",
+      topt = {suffix == "_af"     ? "token_af"
+              : suffix == "_pool" ? "token_pool"
+                                  : "token_adaptive",
               TokenPolicy::kHandOff};
     }
   } else {
@@ -207,15 +196,15 @@ const std::vector<std::string>& all_factory_names() {
   static const std::vector<std::string> kNames = [] {
     std::vector<std::string> names;
     for (const std::string& base : reclaimer_names()) {
-      names.push_back(base);
-      if (!takes_suffix(base)) continue;
-      names.push_back(base + "_af");
-      names.push_back(base + "_pool");
-      names.push_back(base + "_adaptive");
-      names.push_back(base + "_latency");
-      // Home-flush twin of every suffixable form but `_latency`.
-      for (const char* sfx : {"", "_af", "_pool", "_adaptive"}) {
-        names.push_back(base + sfx + "_hf");
+      if (!takes_suffix(base)) {
+        names.push_back(base);
+        continue;
+      }
+      // Every form, then the home-flush twin of every form.
+      for (const char* routing : {"", "_hf"}) {
+        for (const char* form : {"", "_af", "_pool", "_adaptive"}) {
+          names.push_back(base + form + routing);
+        }
       }
     }
     return names;

@@ -46,7 +46,7 @@ AdaptiveFreeSchedule::AdaptiveFreeSchedule(const SmrConfig& cfg)
       flush_batch_(cfg.flush_batch) {}
 
 std::size_t AdaptiveFreeSchedule::drain_quota(const LaneStats& lane) const {
-  if (lane.backlog == 0) return drain_min();
+  if (lane.backlog == 0) return drain_min_;
   const std::size_t pop =
       std::max<std::size_t>(population_.load(std::memory_order_relaxed), 1);
   const std::size_t horizon =
@@ -62,7 +62,7 @@ std::size_t AdaptiveFreeSchedule::drain_quota(const LaneStats& lane) const {
     quota = std::min<std::size_t>(
         quota, static_cast<std::size_t>(kMaxDrainNsPerOp / ns_per_free) + 1);
   }
-  return std::clamp(quota, drain_min(), drain_max());
+  return std::clamp(quota, drain_min_, drain_max_);
 }
 
 std::size_t AdaptiveFreeSchedule::flush_quota(const LaneStats& lane) const {
@@ -88,38 +88,6 @@ std::size_t AdaptiveFreeSchedule::scan_threshold(
   return std::max<std::size_t>(batch_ * pop / capacity_, 1);
 }
 
-LatencyTargetFreeSchedule::LatencyTargetFreeSchedule(const SmrConfig& cfg)
-    : AdaptiveFreeSchedule(cfg),
-      target_ns_(cfg.latency_target_us * 1000) {}
-
-std::size_t LatencyTargetFreeSchedule::drain_quota(
-    const LaneStats& lane) const {
-  const std::size_t base = AdaptiveFreeSchedule::drain_quota(lane);
-  const std::size_t s = scale_.load(std::memory_order_relaxed);
-  return std::clamp(base * s / kScaleUnit, drain_min(), drain_max());
-}
-
-std::size_t LatencyTargetFreeSchedule::flush_quota(
-    const LaneStats& lane) const {
-  const std::size_t base = AdaptiveFreeSchedule::flush_quota(lane);
-  const std::size_t s = scale_.load(std::memory_order_relaxed);
-  return std::clamp<std::size_t>(base * s / kScaleUnit, 1, flush_batch());
-}
-
-void LatencyTargetFreeSchedule::on_tail_latency(std::uint64_t p999_ns) {
-  last_p999_.store(p999_ns, std::memory_order_relaxed);
-  // Single writer (the driver's sampler thread): plain load-modify-store
-  // on the relaxed atomic is race-free; concurrent drain_quota readers
-  // see either scale.
-  std::size_t s = scale_.load(std::memory_order_relaxed);
-  if (p999_ns > target_ns_) {
-    s = std::max(s / 2, kScaleMin);
-  } else if (p999_ns * 4 < target_ns_ * 3) {
-    s = std::min(s + s / 4 + 1, kScaleMax);
-  }
-  scale_.store(s, std::memory_order_relaxed);
-}
-
 std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
                                                  const SmrConfig& cfg) {
   if (!cfg.schedule.empty()) {
@@ -127,12 +95,10 @@ std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
       kind = ScheduleKind::kFixed;
     } else if (cfg.schedule == "adaptive") {
       kind = ScheduleKind::kAdaptive;
-    } else if (cfg.schedule == "latency") {
-      kind = ScheduleKind::kLatency;
     } else {
       throw std::invalid_argument(
           "unknown free schedule: '" + cfg.schedule +
-          "' (valid EMR_SCHEDULE values: fixed adaptive latency)");
+          "' (valid EMR_SCHEDULE values: fixed adaptive)");
     }
   }
   if (cfg.batch_size == 0) {
@@ -152,14 +118,6 @@ std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
         "invalid drain clamp: drain_max=" + std::to_string(cfg.drain_max) +
         " < drain_min=" + std::to_string(cfg.drain_min) +
         " (EMR_DRAIN_MAX must be >= EMR_DRAIN_MIN)");
-  }
-  if (kind == ScheduleKind::kLatency) {
-    if (cfg.latency_target_us == 0) {
-      throw std::invalid_argument(
-          "invalid SmrConfig::latency_target_us: 0 (EMR_LATENCY_TARGET_US "
-          "must be >= 1 microsecond for the latency schedule)");
-    }
-    return std::make_unique<LatencyTargetFreeSchedule>(cfg);
   }
   if (kind == ScheduleKind::kAdaptive) {
     return std::make_unique<AdaptiveFreeSchedule>(cfg);

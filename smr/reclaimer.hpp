@@ -70,9 +70,9 @@ struct SmrConfig {
   std::size_t epoch_freq = 64;
   /// Free-schedule policy selection: "" follows the factory name's
   /// suffix (fixed for plain/_af/_pool names, adaptive for the
-  /// *_adaptive variants, latency for *_latency); "fixed", "adaptive"
-  /// or "latency" forces the choice for any name. Anything else fails
-  /// fast in make_free_schedule. EMR_SCHEDULE.
+  /// *_adaptive variants); "fixed" or "adaptive" forces the choice for
+  /// any name. Anything else fails fast in make_free_schedule.
+  /// EMR_SCHEDULE.
   std::string schedule;
   /// Pooling inventory cap per lane; 0 = auto (four batches, floored
   /// at 1024). EMR_POOL_CAP — the env path rejects non-positive values
@@ -83,12 +83,7 @@ struct SmrConfig {
   /// drain_max nodes at one op end. EMR_DRAIN_MIN / EMR_DRAIN_MAX.
   std::size_t drain_min = 1;
   std::size_t drain_max = 64;
-  /// Tail-latency target for the latency-target schedule (*_latency
-  /// names, EMR_LATENCY_TARGET_US): when the observed per-op p99.9
-  /// overshoots this many microseconds the schedule shrinks its drain
-  /// quantum, and relaxes it again while the tail sits comfortably
-  /// under. Must be >= 1 for the latency schedule; other policies
-  /// ignore it.
+  /// Read by nothing; kept only because emrbench/emr_bench.cpp assigns it.
   std::uint64_t latency_target_us = 1000;
   /// Home-flush routing (docs/FREE_SCHEDULES.md): ceiling on how many
   /// stashed remote blocks the owning lane flushes locally at one op
@@ -227,21 +222,6 @@ class FreeSchedule {
   /// Population beat: the number of live ThreadHandles, pushed by the
   /// owning reclaimer after every register/deregister.
   virtual void on_population(std::size_t n) { (void)n; }
-
-  /// Tail-latency beat: the driver measuring per-op latency (the
-  /// harness sampler) pushes the current merged p99.9 here every
-  /// sample period. Policies that steer by observed tail latency react;
-  /// the default ignores the signal. Called from the sampler thread
-  /// concurrently with drain_quota — implementations keep the state in
-  /// relaxed atomics.
-  virtual void on_tail_latency(std::uint64_t p999_ns) { (void)p999_ns; }
-
-  /// True when this policy consumes on_tail_latency. The harness uses
-  /// it to arm the per-op latency recorder and the feedback pump even
-  /// for trials that did not ask for latency measurement — a
-  /// latency-target schedule without the signal would silently run
-  /// open-loop.
-  virtual bool wants_latency_feedback() const { return false; }
 
   /// Whether drain_quota() actually reads its LaneStats argument.
   /// Policies with a constant quantum return false so executors can

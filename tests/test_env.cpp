@@ -125,26 +125,6 @@ TEST(Env, IntListStrictReportsTheBadToken) {
   EXPECT_EQ(bad, "12x");
 }
 
-TEST(Env, LatencyTargetOverrideValidates) {
-  EnvGuard env;
-  env.unset("EMR_LATENCY_TARGET_US");
-  harness::TrialConfig cfg;
-  cfg.smr.latency_target_us = 250;
-  harness::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.smr.latency_target_us, 250u);  // silent env leaves it
-
-  env.set("EMR_LATENCY_TARGET_US", "50");
-  harness::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.smr.latency_target_us, 50u);
-
-  env.set("EMR_LATENCY_TARGET_US", "0");
-  EXPECT_THROW(harness::apply_env_overrides(cfg), std::invalid_argument);
-  env.set("EMR_LATENCY_TARGET_US", "-9");
-  EXPECT_THROW(harness::apply_env_overrides(cfg), std::invalid_argument);
-  env.set("EMR_LATENCY_TARGET_US", "junk");
-  EXPECT_THROW(harness::apply_env_overrides(cfg), std::invalid_argument);
-}
-
 TEST(Env, OverridePrecedenceBatchAndPenalty) {
   EnvGuard env;
   env.unset("EMR_BATCH");

@@ -168,113 +168,6 @@ TEST(FreeSchedule, AdaptiveThresholdProratesWithPopulation) {
   EXPECT_GE(tiny->scan_threshold(1), 1u);
 }
 
-// --------------------------------------------- latency-target policy
-
-TEST(FreeSchedule, LatencyTargetScalesWithObservedTail) {
-  smr::SmrConfig cfg;
-  cfg.num_threads = 4;
-  cfg.drain_min = 1;
-  cfg.drain_max = 1024;
-  cfg.latency_target_us = 100;  // 100'000 ns
-  auto base = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  EXPECT_STREQ(base->name(), "latency");
-  EXPECT_TRUE(base->wants_latency_feedback());
-  auto* sched = dynamic_cast<smr::LatencyTargetFreeSchedule*>(base.get());
-  ASSERT_NE(sched, nullptr);
-  EXPECT_EQ(sched->target_ns(), 100'000u);
-  EXPECT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleUnit);
-  EXPECT_EQ(sched->last_p999_ns(), 0u);
-
-  sched->on_population(4);
-  smr::LaneStats lane;
-  lane.backlog = 100'000;
-  const std::size_t q_neutral = sched->drain_quota(lane);
-  EXPECT_GT(q_neutral, 1u);
-
-  // Overshoot: each beat halves the scale, quota shrinks monotonically
-  // down to the floor — but never to zero.
-  sched->on_tail_latency(200'000);  // 2x target
-  EXPECT_EQ(sched->last_p999_ns(), 200'000u);
-  EXPECT_LT(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleUnit);
-  const std::size_t q_backed_off = sched->drain_quota(lane);
-  EXPECT_LE(q_backed_off, q_neutral);
-  for (int i = 0; i < 32; ++i) sched->on_tail_latency(200'000);
-  EXPECT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleMin);
-  EXPECT_GE(sched->drain_quota(lane), cfg.drain_min)
-      << "an unreachable target must not stop reclamation";
-
-  // Comfortably under 3/4 of the target: the scale creeps back up and
-  // saturates at its cap.
-  for (int i = 0; i < 128; ++i) sched->on_tail_latency(10'000);
-  EXPECT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleMax);
-  EXPECT_GE(sched->drain_quota(lane), q_neutral);
-
-  // The dead band between 3/4 and 1x the target holds the scale still.
-  const std::size_t held = sched->scale();
-  sched->on_tail_latency(90'000);
-  EXPECT_EQ(sched->scale(), held);
-}
-
-TEST(FreeSchedule, LatencyTargetQuotaHonoursTheClamp) {
-  smr::SmrConfig cfg;
-  cfg.drain_min = 3;
-  cfg.drain_max = 16;
-  cfg.latency_target_us = 1;  // everything overshoots a 1 us target
-  auto sched = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  sched->on_population(1);
-  for (int i = 0; i < 32; ++i) sched->on_tail_latency(1'000'000);
-  smr::LaneStats lane;
-  lane.backlog = 1 << 20;
-  EXPECT_GE(sched->drain_quota(lane), 3u);
-  EXPECT_LE(sched->drain_quota(lane), 16u);
-}
-
-TEST(FreeSchedule, LatencyTargetDaemonQuotaIgnoresTheTailScale) {
-  // The tail scale exists to keep drain bursts off the op path; a
-  // background-reclaimer tick frees off that path entirely, so its
-  // quantum must stay the unscaled adaptive one even while an
-  // unreachable target has floored the per-op quota at drain_min.
-  smr::SmrConfig cfg;
-  cfg.num_threads = 4;
-  cfg.drain_min = 1;
-  cfg.drain_max = 1024;
-  cfg.latency_target_us = 1;  // everything overshoots a 1 us target
-  auto base = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  auto* sched = dynamic_cast<smr::LatencyTargetFreeSchedule*>(base.get());
-  ASSERT_NE(sched, nullptr);
-  sched->on_population(4);
-  for (int i = 0; i < 32; ++i) sched->on_tail_latency(1'000'000);
-  ASSERT_EQ(sched->scale(), smr::LatencyTargetFreeSchedule::kScaleMin);
-  smr::LaneStats lane;
-  lane.backlog = 100'000;
-  const std::size_t unscaled = sched->AdaptiveFreeSchedule::drain_quota(lane);
-  ASSERT_LT(sched->drain_quota(lane), unscaled)
-      << "precondition: the floored scale must throttle the op path";
-  // The daemon quantum is the unscaled adaptive one x2 (x8 under
-  // pressure) — not a multiple of the throttled op quota.
-  EXPECT_EQ(sched->daemon_quota(lane, /*pressure=*/false), 2 * unscaled);
-  EXPECT_EQ(sched->daemon_quota(lane, /*pressure=*/true), 8 * unscaled);
-  EXPECT_GT(sched->daemon_quota(lane, /*pressure=*/true),
-            8 * sched->drain_quota(lane));
-}
-
-TEST(FreeSchedule, LatencyTargetZeroFailsFastNamingTheKnob) {
-  smr::SmrConfig cfg;
-  cfg.latency_target_us = 0;
-  try {
-    smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-    FAIL() << "latency_target_us == 0 must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("EMR_LATENCY_TARGET_US"),
-              std::string::npos)
-        << e.what();
-  }
-  // The fixed/adaptive policies never read the knob; zero is fine there.
-  EXPECT_NO_THROW(smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg));
-  EXPECT_NO_THROW(
-      smr::make_free_schedule(smr::ScheduleKind::kAdaptive, cfg));
-}
-
 // ------------------------------------------------------ factory wiring
 
 TEST(FreeSchedule, SuffixSelectsThePolicy) {
@@ -285,34 +178,15 @@ TEST(FreeSchedule, SuffixSelectsThePolicy) {
   EXPECT_STREQ(adaptive.r().name(), "debra");
   World token_adaptive("token_adaptive", small_config());
   EXPECT_STREQ(token_adaptive.r().name(), "token_adaptive");
-  World latency("debra_latency", small_config());
-  EXPECT_STREQ(latency.bundle.schedule->name(), "latency");
-  EXPECT_STREQ(latency.r().name(), "debra");
-  EXPECT_TRUE(latency.bundle.schedule->wants_latency_feedback());
-  World token_latency("token_latency", small_config());
-  EXPECT_STREQ(token_latency.r().name(), "token_latency");
 }
 
 TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
-  EXPECT_EQ(smr::reclaimer_base_name("debra_latency"), "debra");
-  EXPECT_EQ(smr::reclaimer_base_name("he_latency"), "he");
-  EXPECT_EQ(smr::reclaimer_base_name("token_latency"), "token");
   const std::vector<std::string> names = smr::all_factory_names();
-  // 2 fixed token variants + 11 suffixable x (5 forms + 4 _hf twins).
-  EXPECT_EQ(names.size(), 101u);
-  auto has = [&](const char* n) {
-    for (const std::string& s : names) {
-      if (s == n) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("debra_latency"));
-  EXPECT_TRUE(has("token_latency"));
-  EXPECT_TRUE(has("nbr_latency"));
-  EXPECT_FALSE(has("token_naive_latency"));  // fixed-policy probes only
-  // `_latency` has no home-flush twin.
+  // 2 fixed token variants + 11 suffixable bases x 4 forms x {direct,
+  // _hf}; `_latency` is not one of the forms.
+  EXPECT_EQ(names.size(), 90u);
   for (const std::string& n : names) {
-    EXPECT_EQ(n.find("_latency_hf"), std::string::npos) << n;
+    EXPECT_EQ(n.find("_latency"), std::string::npos) << n;
   }
 }
 
@@ -326,17 +200,20 @@ TEST(FreeSchedule, ScheduleOverrideGovernsAnyName) {
   World pinned("hp_adaptive", cfg);  // the override beats the suffix
   EXPECT_STREQ(pinned.bundle.schedule->name(), "fixed");
 
-  cfg.schedule = "latency";
-  World steered("debra_af", cfg);  // any name can run tail-steered
-  EXPECT_STREQ(steered.bundle.schedule->name(), "latency");
-  EXPECT_TRUE(steered.bundle.schedule->wants_latency_feedback());
-
-  cfg.schedule = "bogus";
   TrackingAllocator allocator;
   smr::SmrContext ctx;
   ctx.allocator = &allocator;
-  EXPECT_THROW(smr::make_reclaimer("debra", ctx, cfg),
-               std::invalid_argument);
+  for (const char* bad : {"latency", "bogus"}) {
+    cfg.schedule = bad;
+    try {
+      smr::make_reclaimer("debra", ctx, cfg);
+      FAIL() << "EMR_SCHEDULE=" << bad << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fixed adaptive"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FreeSchedule, PopulationFollowsRegistration) {
@@ -459,30 +336,6 @@ TEST(FreeSchedule, AdaptiveVariantsAccountExactly) {
         g.retire(w.r().alloc_node(h, 64));
       }
       { smr::Guard g(other); }
-    }
-    w.r().flush_all();
-    const smr::SmrStats st = w.r().stats();
-    EXPECT_EQ(st.retired, 100u) << base;
-    EXPECT_EQ(st.pending, 0u) << base;
-    EXPECT_EQ(w.allocator.live(), 0u) << base;
-  }
-}
-
-// Same exactness for the tail-steered variants — including after the
-// controller has been slammed to both ends of its scale range.
-TEST(FreeSchedule, LatencyVariantsAccountExactly) {
-  for (const std::string& base : smr::experiment2_reclaimers()) {
-    World w(base + "_latency", small_config());
-    w.bundle.schedule->on_tail_latency(~std::uint64_t{0});  // floor it
-    smr::ThreadHandle h = w.r().register_thread();
-    smr::ThreadHandle other = w.r().register_thread();
-    for (int i = 0; i < 100; ++i) {
-      {
-        smr::Guard g(h);
-        g.retire(w.r().alloc_node(h, 64));
-      }
-      { smr::Guard g(other); }
-      if (i == 50) w.bundle.schedule->on_tail_latency(1);  // max it out
     }
     w.r().flush_all();
     const smr::SmrStats st = w.r().stats();

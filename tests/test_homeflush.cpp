@@ -57,9 +57,9 @@ TEST(HomeFlush, HfNamesInTheFactoryGrammar) {
   EXPECT_EQ(smr::reclaimer_base_name("debra_pool_hf"), "debra");
   EXPECT_EQ(smr::reclaimer_base_name("token_adaptive_hf"), "token");
   const std::vector<std::string> names = smr::all_factory_names();
-  // 2 fixed token variants + 11 suffixable bases x (5 forms + 4 _hf
-  // twins: `_latency` has none).
-  EXPECT_EQ(names.size(), 101u);
+  // 2 fixed token variants + 11 suffixable bases x (4 forms + their 4
+  // _hf twins).
+  EXPECT_EQ(names.size(), 90u);
   auto has = [&](const char* n) {
     for (const std::string& s : names) {
       if (s == n) return true;
@@ -134,19 +134,6 @@ TEST(HomeFlush, FlushQuotaPolicies) {
   const std::size_t q_big = adaptive->flush_quota(lane);
   EXPECT_GE(q_big, q_small) << "quota must be monotone in stash backlog";
   EXPECT_EQ(q_big, 48u) << "a huge stash must hit the EMR_FLUSH_BATCH cap";
-
-  // The tail-steered policy scales the adaptive quantum but never stops
-  // flushing: a floored scale still moves one block per op.
-  cfg.latency_target_us = 1;
-  auto base = smr::make_free_schedule(smr::ScheduleKind::kLatency, cfg);
-  auto* latency =
-      dynamic_cast<smr::LatencyTargetFreeSchedule*>(base.get());
-  ASSERT_NE(latency, nullptr);
-  latency->on_population(4);
-  for (int i = 0; i < 32; ++i) latency->on_tail_latency(1'000'000);
-  ASSERT_EQ(latency->scale(), smr::LatencyTargetFreeSchedule::kScaleMin);
-  EXPECT_GE(latency->flush_quota(lane), 1u);
-  EXPECT_LE(latency->flush_quota(lane), 48u);
 
   cfg = {};
   cfg.flush_batch = 0;

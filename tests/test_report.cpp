@@ -339,7 +339,7 @@ TEST(Report, CommittedLatencySnapshotParses) {
   const char* const kNumeric[] = {
       "threads",     "mops",        "p50_us",      "p99_us",
       "p999_us",     "max_us",      "ins_p999_us", "ers_p999_us",
-      "lkp_p999_us", "ops",         "target_us",   "penalty_ns"};
+      "lkp_p999_us", "ops",         "penalty_ns"};
   const char* const kString[] = {"reclaimer", "schedule", "clock", "pin"};
   std::vector<std::string> cells;
   for (const JsonObject& row : rows) {
@@ -362,9 +362,9 @@ TEST(Report, CommittedLatencySnapshotParses) {
     }
     cells.push_back(find("reclaimer")->str);
   }
-  // One row per schedule: batch, _af, _adaptive, _latency.
-  EXPECT_EQ(cells, (std::vector<std::string>{"hp", "hp_af", "hp_adaptive",
-                                             "hp_latency"}));
+  // One row per schedule: batch, _af, _adaptive.
+  EXPECT_EQ(cells,
+            (std::vector<std::string>{"hp", "hp_af", "hp_adaptive"}));
 }
 
 TEST(Report, CommittedQueueSnapshotParses) {
@@ -415,12 +415,11 @@ TEST(Report, CommittedQueueSnapshotParses) {
     }
     cells.push_back(layout + " " + find("reclaimer")->str);
   }
-  // One row per layout x schedule: {sym, asym} x {batch, _af, _adaptive,
-  // _latency}.
+  // One row per layout x schedule: {sym, asym} x {batch, _af,
+  // _adaptive}.
   EXPECT_EQ(cells, (std::vector<std::string>{
-                       "sym hp", "sym hp_af", "sym hp_adaptive",
-                       "sym hp_latency", "asym hp", "asym hp_af",
-                       "asym hp_adaptive", "asym hp_latency"}));
+                       "sym hp", "sym hp_af", "sym hp_adaptive", "asym hp",
+                       "asym hp_af", "asym hp_adaptive"}));
 }
 
 TEST(Report, CommittedHomeflushSnapshotParses) {
