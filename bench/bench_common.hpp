@@ -49,8 +49,6 @@
 //   EMR_RATE_OPS - open-loop mean offered load, ops/s
 //   EMR_ZIPF_S   - Zipfian key skew for open-loop draws (0 = uniform)
 //   EMR_PHASES   - comma list of rate multipliers over equal window slices
-//   EMR_TENANTS / EMR_TENANT_WEIGHTS - ds/ instances sharing the
-//                  reclaimer bundle, and their arrival weights
 //   EMR_RECLAIMER_DAEMON - off | optimistic | aggressive background
 //                  reclaimer thread; EMR_DAEMON_MS sets its tick period
 //   EMR_OUT      - artifact directory for CSV/timeline dumps
@@ -61,9 +59,10 @@
 // bench_fig_homeflush) accept `--json <path>` (or EMR_JSON): the result
 // table is mirrored as a JSON array via harness::emit_json, the format
 // the committed BENCH_*.json perf snapshots ingest (ci/check.sh writes
-// BENCH_fig_latency.json, BENCH_fig_service.json, BENCH_fig_queue.json
-// and BENCH_fig_homeflush.json at the repo root). The helpers below are
-// the two lines a bench needs to opt in.
+// its smoke tables under the build directory; a committed snapshot is
+// refreshed by hand with `./build/bench_fig_<x> --smoke --json
+// BENCH_fig_<x>.json` from the repo root). The helpers below are the
+// two lines a bench needs to opt in.
 #pragma once
 
 #include <cstdio>

@@ -13,8 +13,8 @@
 //   EMR_RECLAIMER  - base reclaimer (suffixes stripped; debra)
 //   EMR_DS         - queue flavor (msqueue | lockedqueue; msqueue)
 //   --json <path>  - mirror the table as JSON (bench_common);
-//                    ci/check.sh points this at the committed
-//                    BENCH_fig_homeflush.json snapshot
+//                    with --smoke, `--json BENCH_fig_homeflush.json` from
+//                    the repo root refreshes the committed snapshot
 //
 // `bench_fig_homeflush --smoke` runs calibrated 4+4 pipeline cells
 // (scatter pin, modeled jemalloc, explicit 500 ns remote penalty) and

@@ -8,8 +8,8 @@
 //
 //   EMR_RECLAIMER - base reclaimer (suffixes stripped; debra)
 //   --json <path> - mirror the table as JSON (bench_common);
-//                   ci/check.sh points this at the committed
-//                   BENCH_fig_latency.json snapshot
+//                   with --smoke, `--json BENCH_fig_latency.json` from
+//                   the repo root refreshes the committed snapshot
 //
 // `bench_fig_latency --smoke` runs a calibrated 8-thread cell on the
 // modeled jemalloc (small tcache + remote-free penalty, so one

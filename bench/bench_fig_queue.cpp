@@ -16,8 +16,8 @@
 //   EMR_RECLAIMER  - base reclaimer (suffixes stripped; debra)
 //   EMR_DS         - queue flavor (msqueue | lockedqueue; msqueue)
 //   --json <path>  - mirror the table as JSON (bench_common);
-//                    ci/check.sh points this at the committed
-//                    BENCH_fig_queue.json snapshot
+//                    with --smoke, `--json BENCH_fig_queue.json` from
+//                    the repo root refreshes the committed snapshot
 //
 // `bench_fig_queue --smoke` runs calibrated 8-thread cells (4+4 split
 // in the asymmetric layout) on the modeled jemalloc and fails unless,

@@ -5,16 +5,16 @@
 // number just flattens; an open loop keeps offering load on a
 // pre-generated seeded schedule, and the *queueing delay* (service
 // start minus scheduled arrival) explodes while per-op service time
-// stays ordinary. The second panel is the multi-tenant/daemon story: a
-// hot tenant sharing one reclaimer bundle with a cold one under phase
-// traffic, where the background reclaimer daemon drains the garbage
-// that op-driven reclamation strands when the traffic stops.
+// stays ordinary. The second panel is the daemon story: one structure
+// under busy-then-idle phase traffic, where the background reclaimer
+// daemon drains the garbage that op-driven reclamation strands when the
+// traffic stops.
 //
 //   EMR_ARRIVAL / EMR_RATE_OPS / EMR_ZIPF_S / EMR_PHASES - traffic shape
-//   EMR_TENANTS / EMR_TENANT_WEIGHTS     - reclamation domains
 //   EMR_RECLAIMER_DAEMON / EMR_DAEMON_MS - off | optimistic | aggressive
-//   --json <path>  - mirror the table as JSON (bench_common); ci/check.sh
-//                    points this at the committed BENCH_fig_service.json
+//   --json <path>  - mirror the table as JSON (bench_common); with
+//                    --smoke, `--json BENCH_fig_service.json` from the
+//                    repo root refreshes the committed snapshot
 //
 // `bench_fig_service --smoke` runs the acceptance gates at laptop scale:
 //   (a) determinism - the offered schedule is a pure function of the
@@ -25,10 +25,9 @@
 //       queueing p99.9 is >= 5x the light cell's while the service rate
 //       it sustains stays within the closed-loop capacity band — the
 //       throughput column alone looks healthy while the queue dies;
-//   (c) daemon      - on the hot/cold tenant scenario with a near-idle
-//       tail, the aggressive daemon cuts the garbage the bundle holds
-//       (peak and mean sampled backlog) vs daemon off, with per-tenant
-//       ledgers summing to the bundle total either way.
+//   (c) daemon      - on the churn scenario with a near-idle tail, the
+//       aggressive daemon cuts the garbage the bundle holds in the idle
+//       window (mean sampled backlog) vs daemon off.
 #include <cinttypes>
 #include <cstring>
 
@@ -140,7 +139,7 @@ harness::TrialConfig smoke_base() {
   return cfg;
 }
 
-/// The hot/cold tenant scenario for the daemon gate. The garbage that
+/// The idle-tail scenario for the daemon gate. The garbage that
 /// structurally needs a background reclaimer is *adopted* backlog:
 /// op-driven draining always keeps pace while traffic flows (the quota
 /// is at least one node per op), but when a churned-out worker's
@@ -148,7 +147,7 @@ harness::TrialConfig smoke_base() {
 /// tail, no ops follow to drain it — with the daemon off it simply
 /// stands until teardown. Thread churn every 40 ms puts two departures
 /// inside the 75 ms idle tail, each stranding ~half a scan threshold.
-harness::TrialConfig tenant_config(double capacity, const char* level) {
+harness::TrialConfig idle_config(double capacity, const char* level) {
   harness::TrialConfig cfg = smoke_base();
   cfg.seed = 42;
   cfg.arrival = "poisson";
@@ -162,8 +161,6 @@ harness::TrialConfig tenant_config(double capacity, const char* level) {
   // is an idle window, not a backlog-spill extension of the busy half.
   cfg.rate_ops = capacity * 0.35;
   cfg.phases = {2.0, 0.0002};  // busy half, then an almost-opless tail
-  cfg.tenants = 2;
-  cfg.tenant_weights = {10.0, 1.0};
   cfg.reclaimer_daemon = level;
   cfg.daemon_period_ms = 1;
   cfg.enable_schedule_trace = true;
@@ -286,13 +283,13 @@ int run_smoke(int argc, char** argv) {
     ok = false;
   }
 
-  // ---- (c) hot/cold tenants, daemon off vs aggressive ----------------
+  // ---- (c) idle-tail garbage, daemon off vs aggressive ---------------
   std::printf("\n");
   harness::AggregateResult cells[2];
   Backlog tail[2];
   const char* const kLevels[2] = {"off", "aggressive"};
   for (int i = 0; i < 2; ++i) {
-    const harness::TrialConfig cfg = tenant_config(capacity, kLevels[i]);
+    const harness::TrialConfig cfg = idle_config(capacity, kLevels[i]);
     cells[i] = harness::run_trials(cfg, {cfg.seed});
     tail[i] = backlog_since(cells[i].last, kTailFromMs);
     ok &= cells[i].accounted;
@@ -309,26 +306,9 @@ int run_smoke(int argc, char** argv) {
                   static_cast<unsigned long long>(
                       cells[i].last.daemon_quiet_ticks));
     }
-    const std::string label = std::string("tenant-") + kLevels[i];
+    const std::string label = std::string("idle-") + kLevels[i];
     print_cell(label, cfg, cells[i]);
     add_row(&table, label, cfg, cells[i]);
-
-    const harness::TrialResult& r = cells[i].last;
-    if (r.tenant.size() != 2 ||
-        r.tenant[0].retired + r.tenant[1].retired != r.smr_stats.retired) {
-      std::printf("FAILED: tenant ledgers do not sum to the bundle total "
-                  "(daemon=%s)\n",
-                  kLevels[i]);
-      ok = false;
-    }
-    if (r.tenant.size() == 2 &&
-        r.tenant[0].retired <= 3 * r.tenant[1].retired) {
-      std::printf("FAILED: the hot tenant is not hot (retired %llu vs "
-                  "%llu)\n",
-                  static_cast<unsigned long long>(r.tenant[0].retired),
-                  static_cast<unsigned long long>(r.tenant[1].retired));
-      ok = false;
-    }
   }
   std::printf("\ngarbage held in the idle tail (t >= %llums): off "
               "peak=%llu mean=%.1f | aggressive peak=%llu mean=%.1f "
@@ -379,7 +359,7 @@ int main(int argc, char** argv) {
   harness::TrialConfig base = default_config();
   base.enable_latency = true;
   harness::print_banner(
-      "Service mode: open-loop arrivals, queueing delay, tenants, daemon",
+      "Service mode: open-loop arrivals, queueing delay, daemon",
       "beyond the paper: closed loops cannot see queueing collapse "
       "(docs/SERVICE_MODE.md)",
       describe(base) + " reclaimer=" + base.reclaimer +
@@ -410,34 +390,19 @@ int main(int argc, char** argv) {
     add_row(&table, label, cfg, cell);
   }
 
-  // Panel 2: hot/cold tenants under phase traffic, daemon off vs on.
+  // Panel 2: one structure under phase traffic, daemon off vs on.
   std::printf("\n");
   for (const char* level : {"off", "optimistic", "aggressive"}) {
     harness::TrialConfig cfg = base;
     if (cfg.arrival == "closed") cfg.arrival = "poisson";
     if (!env_has("EMR_RATE_OPS")) cfg.rate_ops = capacity * 0.5;
     if (!env_has("EMR_PHASES")) cfg.phases = {2.0, 0.05};
-    if (cfg.tenants <= 1) {
-      cfg.tenants = 2;
-      cfg.tenant_weights = {10.0, 1.0};
-    }
     cfg.reclaimer_daemon = level;
     cfg.enable_schedule_trace = true;
     const harness::AggregateResult cell = harness::run_trials(cfg, {cfg.seed});
-    const std::string label = std::string("tenant-") + level;
+    const std::string label = std::string("idle-") + level;
     print_cell(label, cfg, cell);
     add_row(&table, label, cfg, cell);
-    if (cell.last.tenant.size() == 2) {
-      std::printf(
-          "    hot: retired=%llu backlog_end=%llu p999=%s | cold: "
-          "retired=%llu backlog_end=%llu p999=%s\n",
-          static_cast<unsigned long long>(cell.last.tenant[0].retired),
-          static_cast<unsigned long long>(cell.last.tenant[0].backlog_end),
-          harness::human_ns(cell.last.tenant[0].lat_p999_ns).c_str(),
-          static_cast<unsigned long long>(cell.last.tenant[1].retired),
-          static_cast<unsigned long long>(cell.last.tenant[1].backlog_end),
-          harness::human_ns(cell.last.tenant[1].lat_p999_ns).c_str());
-    }
   }
 
   std::printf("\n");

@@ -28,10 +28,14 @@ step() {
   return 1
 }
 
-# smoke_json BENCH JSON: a figure smoke that also writes its committed
-# snapshot at the repo root (test_report parses it strictly).
+# smoke_json BENCH JSON: a figure smoke that also writes its table to
+# $BUILD_DIR/JSON and fails on a missing or empty file. CI never touches
+# the committed snapshot of the same name at the repo root: test_report
+# parses that one, and it is refreshed by hand from a passing smoke
+# (EXPERIMENTS.md, "Refreshing the committed snapshots").
 smoke_json() {
-  "$BUILD_DIR/$1" --smoke --json "$2" && test -s "$2"
+  rm -f "$BUILD_DIR/$2"
+  "$BUILD_DIR/$1" --smoke --json "$BUILD_DIR/$2" && test -s "$BUILD_DIR/$2"
 }
 
 step ctest ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
@@ -79,24 +83,21 @@ step churn "$BUILD_DIR/bench_ablation_churn" --smoke
 step adaptive "$BUILD_DIR/bench_ablation_adaptive" --smoke
 
 # Tail-latency smoke (docs/LATENCY.md): fixed-batch p99.9 blows up by
-# multiples while mops stays flat. Writes the committed snapshot at the
-# repo root (test_report parses it strictly).
+# multiples while mops stays flat.
 step fig-latency smoke_json bench_fig_latency BENCH_fig_latency.json
 
 # Service-mode smoke (docs/SERVICE_MODE.md): the offered schedule is
 # deterministic per seed, open-loop queueing p99.9 explodes
 # past saturation while the served rate stays in the capacity band, and
-# on the hot/cold-tenant churn scenario the aggressive daemon clears the
-# idle-tail garbage that daemon-off strands. Writes the committed
-# snapshot at the repo root (test_report parses it strictly).
+# on the churn scenario the aggressive daemon clears the idle-tail
+# garbage that daemon-off strands.
 step fig-service smoke_json bench_fig_service BENCH_fig_service.json
 
 # Queue-pipeline smoke (docs/DATA_STRUCTURES.md): the MPMC queue under the
 # role-split workload — the asymmetric layout must charge a higher
 # remote-free share than the symmetric one, and its fixed-batch dequeue
 # p99.9 must blow past 2x the _af tail at comparable mops, over two
-# seeds. Writes the committed snapshot at the repo root (test_report
-# parses it strictly).
+# seeds.
 step fig-queue smoke_json bench_fig_queue BENCH_fig_queue.json
 
 # Home-flush routing smoke (docs/FREE_SCHEDULES.md): on the asymmetric
@@ -105,8 +106,6 @@ step fig-queue smoke_json bench_fig_queue BENCH_fig_queue.json
 # improves without a throughput loss over two seeds, and the stash
 # ledger balances exactly (stashed == flushed, zero backlog at
 # teardown).
-# Writes the committed snapshot at the repo root (test_report parses it
-# strictly).
 step fig-homeflush smoke_json bench_fig_homeflush BENCH_fig_homeflush.json
 
 # Policy-layer invariant: executors and scheme TUs ask the FreeSchedule

@@ -42,24 +42,6 @@ void validate(const ArrivalConfig& cfg) {
            std::to_string(m));
     }
   }
-  if (cfg.tenants < 1) {
-    fail("ArrivalConfig.tenants must be >= 1, got " +
-         std::to_string(cfg.tenants));
-  }
-  if (!cfg.tenant_weights.empty()) {
-    if (cfg.tenant_weights.size() != static_cast<std::size_t>(cfg.tenants)) {
-      fail("ArrivalConfig.tenant_weights must be empty (uniform) or hold "
-           "exactly `tenants` entries: got " +
-           std::to_string(cfg.tenant_weights.size()) + " weights for " +
-           std::to_string(cfg.tenants) + " tenants");
-    }
-    for (double w : cfg.tenant_weights) {
-      if (!std::isfinite(w) || w <= 0) {
-        fail("ArrivalConfig.tenant_weights must be finite and > 0, got " +
-             std::to_string(w));
-      }
-    }
-  }
   if (cfg.process == ArrivalConfig::Process::kBurst) {
     if (!std::isfinite(cfg.burst_factor) || cfg.burst_factor < 1) {
       fail("ArrivalConfig.burst_factor must be finite and >= 1");
@@ -153,9 +135,6 @@ std::vector<Arrival> generate_arrivals(const ArrivalConfig& cfg) {
     return m;
   };
 
-  double wsum = 0;
-  for (double w : cfg.tenant_weights) wsum += w;
-
   const Zipf zipf(cfg.keyrange, cfg.zipf_s);
   Rng rng(cfg.seed ^ 0xA5EB7C11DE01F5E3ULL);
   std::vector<Arrival> out;
@@ -166,7 +145,7 @@ std::vector<Arrival> generate_arrivals(const ArrivalConfig& cfg) {
 
   // Lewis thinning: exponential candidate gaps at the peak rate, each
   // candidate kept with probability r(t)/r_max. The rng draw order per
-  // candidate ([gap, accept] then [kind, key, tenant?] on acceptance)
+  // candidate ([gap, accept] then [kind, key] on acceptance)
   // is part of the schedule's identity — reordering it is a
   // determinism-breaking change (tests hash the schedule).
   double t_ns = 0;
@@ -184,20 +163,6 @@ std::vector<Arrival> generate_arrivals(const ArrivalConfig& cfg) {
                  ? 0
                  : (r < cfg.insert_frac + cfg.erase_frac ? 1 : 2);
     a.key = zipf.sample(rng.next_double());
-    if (cfg.tenants > 1) {
-      if (cfg.tenant_weights.empty()) {
-        a.tenant = static_cast<std::uint16_t>(
-            rng.next_range(static_cast<std::uint64_t>(cfg.tenants)));
-      } else {
-        double pick = rng.next_double() * wsum;
-        int t = 0;
-        while (t + 1 < cfg.tenants && pick >= cfg.tenant_weights[t]) {
-          pick -= cfg.tenant_weights[t];
-          ++t;
-        }
-        a.tenant = static_cast<std::uint16_t>(t);
-      }
-    }
     out.push_back(a);
     if (out.size() >= kMaxArrivals) {
       fail("generate_arrivals exceeded the " + std::to_string(kMaxArrivals) +
@@ -218,7 +183,7 @@ std::uint64_t arrival_schedule_hash(const std::vector<Arrival>& schedule) {
   for (const Arrival& a : schedule) {
     mix(a.t_ns);
     mix(a.key);
-    mix((static_cast<std::uint64_t>(a.tenant) << 8) | a.kind);
+    mix(a.kind);
   }
   return h;
 }

@@ -12,8 +12,7 @@
 // per-phase multiplier (equal slices of the window) and — for the
 // `burst` process — a mean-preserving on/off square wave. Keys are
 // Zipfian (Gray's one-uniform method, s = 0 degenerating to uniform)
-// and each event carries an op kind and a tenant drawn from the
-// configured weights.
+// and each event carries an op kind drawn from the configured mix.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +21,15 @@
 namespace emr {
 
 /// One scheduled operation: fire at t_ns after the measurement window
-/// opens, against `tenant`'s structure.
+/// opens.
 struct Arrival {
   std::uint64_t t_ns = 0;
   std::uint64_t key = 0;
-  std::uint16_t tenant = 0;
   std::uint8_t kind = 0;  // harness::Op::Kind values (insert/erase/lookup)
 };
 
 inline bool operator==(const Arrival& a, const Arrival& b) {
-  return a.t_ns == b.t_ns && a.key == b.key && a.tenant == b.tenant &&
-         a.kind == b.kind;
+  return a.t_ns == b.t_ns && a.key == b.key && a.kind == b.kind;
 }
 
 struct ArrivalConfig {
@@ -53,10 +50,6 @@ struct ArrivalConfig {
   /// {2, 0.05} = a busy first half then a near-idle tail. Must be
   /// non-empty with every entry finite and > 0.
   std::vector<double> phases = {1.0};
-
-  // Tenant choice per event. Empty weights = uniform over `tenants`.
-  int tenants = 1;
-  std::vector<double> tenant_weights;
 
   // Burst-process shape: for `burst_duty` of every period the rate is
   // multiplied by `burst_factor`; the rest of the period is scaled down

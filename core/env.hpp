@@ -96,10 +96,10 @@ inline bool env_int_list_strict(const char* name, std::vector<int>* out,
   return true;
 }
 
-/// env_int_list_strict's shape for real-valued knobs (EMR_PHASES,
-/// EMR_TENANT_WEIGHTS): whitespace/comma separators, any token that is
-/// not a finite double fails the whole parse with the offending token
-/// copied into `bad_token`. Range policing (positivity etc.) is the
+/// env_int_list_strict's shape for real-valued knobs (EMR_PHASES):
+/// whitespace/comma separators, any token that is not a finite double
+/// fails the whole parse with the offending token copied into
+/// `bad_token`. Range policing (positivity etc.) is the
 /// caller's job — validate_config names the valid range per knob.
 inline bool env_f64_list_strict(const char* name, std::vector<double>* out,
                                 std::string* bad_token) {

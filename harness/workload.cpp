@@ -180,21 +180,6 @@ void apply_env_overrides(TrialConfig& cfg) {
     }
     if (!phases.empty()) cfg.phases = std::move(phases);
   }
-  if (env_has("EMR_TENANTS")) {
-    // Unclamped: validate_config rejects tenants < 1.
-    cfg.tenants = static_cast<int>(env_i64("EMR_TENANTS", cfg.tenants));
-  }
-  {
-    std::vector<double> weights;
-    std::string bad;
-    if (!env_f64_list_strict("EMR_TENANT_WEIGHTS", &weights, &bad)) {
-      throw std::invalid_argument(
-          "invalid EMR_TENANT_WEIGHTS token '" + bad +
-          "' (expected a comma/space-separated list of per-tenant draw "
-          "weights, e.g. \"10,1\" for a hot and a cold tenant)");
-    }
-    if (!weights.empty()) cfg.tenant_weights = std::move(weights);
-  }
   if (env_has("EMR_RECLAIMER_DAEMON")) {
     // Validity (off | optimistic | aggressive) is owned by
     // validate_config via daemon_level_from_name.
@@ -349,27 +334,6 @@ void validate_config(const TrialConfig& cfg) {
           " (valid range: finite and > 0)");
     }
   }
-  if (cfg.tenants < 1) {
-    throw std::invalid_argument(
-        "invalid tenants: " + std::to_string(cfg.tenants) +
-        " (valid range: >= 1, where 1 is the classic single domain)");
-  }
-  if (!cfg.tenant_weights.empty() &&
-      cfg.tenant_weights.size() != static_cast<std::size_t>(cfg.tenants)) {
-    throw std::invalid_argument(
-        "invalid tenant_weights: " +
-        std::to_string(cfg.tenant_weights.size()) + " entries for " +
-        std::to_string(cfg.tenants) +
-        " tenants (must be empty for a uniform draw, or exactly one "
-        "weight per tenant)");
-  }
-  for (double w : cfg.tenant_weights) {
-    if (!std::isfinite(w) || w <= 0.0) {
-      throw std::invalid_argument(
-          "invalid tenant weight: " + std::to_string(w) +
-          " (valid range: finite and > 0)");
-    }
-  }
   if (cfg.daemon_period_ms < 1) {
     throw std::invalid_argument(
         "invalid daemon_period_ms: " + std::to_string(cfg.daemon_period_ms) +
@@ -436,11 +400,6 @@ void validate_config(const TrialConfig& cfg) {
           "invalid pipeline arrival: '" + cfg.arrival +
           "' (the pipeline workload is closed-loop only; valid: closed)");
     }
-    if (cfg.tenants != 1) {
-      throw std::invalid_argument(
-          "invalid pipeline tenants: " + std::to_string(cfg.tenants) +
-          " (the pipeline workload drives a single queue; valid: 1)");
-    }
   }
   // The set-workload ds name is not re-checked here: ds::make_set (run
   // from Trial's constructor right after this) already fails fast
@@ -470,22 +429,11 @@ OpStream::OpStream(std::uint64_t seed, int tid, double insert_frac,
 OpStream::OpStream(const TrialConfig& cfg, int tid)
     : OpStream(cfg.seed, tid, cfg.insert_frac, cfg.erase_frac,
                cfg.keyrange) {
-  // Both extensions are draw-for-draw conservative: with zipf_s == 0
-  // and tenants <= 1 next() consumes exactly the legacy random stream,
-  // so pre-service-mode trials replay bit-identically.
+  // Draw-for-draw conservative: with zipf_s == 0 next() consumes
+  // exactly the legacy random stream, so pre-service-mode trials replay
+  // bit-identically.
   if (cfg.zipf_s > 0.0) {
     zipf_ = std::make_unique<Zipf>(keyrange_, cfg.zipf_s);
-  }
-  tenants_ = std::max(cfg.tenants, 1);
-  if (tenants_ > 1 && !cfg.tenant_weights.empty()) {
-    double total = 0.0;
-    for (double w : cfg.tenant_weights) total += w;
-    tenant_cdf_.reserve(cfg.tenant_weights.size());
-    double acc = 0.0;
-    for (double w : cfg.tenant_weights) {
-      acc += w;
-      tenant_cdf_.push_back(acc / total);
-    }
   }
 }
 
@@ -500,24 +448,10 @@ Op OpStream::next() {
     op.kind = Op::kLookup;
   }
   // Same per-event draw order as core/arrival.hpp's generator (kind,
-  // key, tenant), and like it the zipf path consumes exactly one
-  // uniform per key.
+  // then key), and like it the zipf path consumes exactly one uniform
+  // per key.
   op.key = zipf_ ? zipf_->sample(rng_.next_double())
                  : rng_.next_range(keyrange_);
-  if (tenants_ > 1) {
-    if (tenant_cdf_.empty()) {
-      op.tenant = static_cast<std::uint32_t>(
-          rng_.next_range(static_cast<std::uint64_t>(tenants_)));
-    } else {
-      const double u = rng_.next_double();
-      std::uint32_t t = 0;
-      while (t + 1 < static_cast<std::uint32_t>(tenants_) &&
-             u >= tenant_cdf_[t]) {
-        ++t;
-      }
-      op.tenant = t;
-    }
-  }
   return op;
 }
 
@@ -533,8 +467,6 @@ ArrivalConfig arrival_config(const TrialConfig& cfg) {
   acfg.keyrange = cfg.keyrange;
   acfg.zipf_s = cfg.zipf_s;
   acfg.phases = cfg.phases;
-  acfg.tenants = std::max(cfg.tenants, 1);
-  acfg.tenant_weights = cfg.tenant_weights;
   return acfg;
 }
 
@@ -545,25 +477,19 @@ namespace {
 /// Deterministic half-full prefill through the normal op path on a
 /// transient registration: every even key, in an order shuffled from the
 /// trial seed so the unbalanced occtree is not built from a sorted
-/// stream (which would degenerate it into a list). Tenant 0's order is
-/// the pre-service-mode one bit-for-bit; further tenants mix their
-/// index into the shuffle seed.
+/// stream (which would degenerate it into a list).
 void prefill(ds::ConcurrentSet& set, smr::Reclaimer& r,
-             const TrialConfig& cfg, int tenant) {
+             const TrialConfig& cfg) {
   std::vector<std::uint64_t> keys;
   keys.reserve(static_cast<std::size_t>(cfg.keyrange / 2 + 1));
   for (std::uint64_t k = 0; k < cfg.keyrange; k += 2) keys.push_back(k);
   // Distinct xor constant: seed ^ golden-ratio is already worker 0's
   // OpStream seed, and the prefill order must not correlate with it.
-  Rng rng(cfg.seed ^ 0xC3A5C85C97CB3127ULL ^
-          (static_cast<std::uint64_t>(tenant) * 0x9E3779B97F4A7C15ULL));
+  Rng rng(cfg.seed ^ 0xC3A5C85C97CB3127ULL);
   for (std::size_t i = keys.size(); i > 1; --i) {
     std::swap(keys[i - 1], keys[rng.next_range(i)]);
   }
   smr::ThreadHandle h = r.register_thread();
-  // Structural retires during the prefill (e.g. abtree splits) should
-  // already land on the right tenant's ledger.
-  r.executor().set_lane_tenant(h.slot(), tenant);
   for (std::uint64_t k : keys) set.insert(h, k);
 }
 
@@ -582,7 +508,6 @@ Trial::Trial(const TrialConfig& cfg) : cfg_(cfg) {
 
   smr::SmrConfig scfg = cfg_.smr;
   scfg.num_threads = std::max(cfg_.nthreads, 1);
-  scfg.tenants = std::max(cfg_.tenants, 1);
   // The daemon registers its own ThreadHandle: budget its slot on top
   // of the configured churn/teardown headroom.
   if (dlevel != smr::DaemonLevel::kOff) scfg.extra_slots += 1;
@@ -636,14 +561,7 @@ Trial::Trial(const TrialConfig& cfg) : cfg_(cfg) {
     ds::SetConfig dcfg;
     dcfg.keyrange = cfg_.keyrange;
     dcfg.num_threads = std::max(cfg_.nthreads, 1);
-    // One structure per tenant, all sharing this bundle: the tenants are
-    // separate reclamation *domains* only in the accounting sense — the
-    // executor ledgers attribute retire/backlog per tenant.
-    const int ntenants = std::max(cfg_.tenants, 1);
-    sets_.reserve(static_cast<std::size_t>(ntenants));
-    for (int t = 0; t < ntenants; ++t) {
-      sets_.push_back(ds::make_set(cfg_.ds, dcfg, bundle_.reclaimer.get()));
-    }
+    set_ = ds::make_set(cfg_.ds, dcfg, bundle_.reclaimer.get());
   }
 }
 
@@ -657,11 +575,6 @@ TrialResult Trial::run() {
   const int lanes = static_cast<int>(bundle_.reclaimer->slot_capacity());
   const bool service = cfg_.arrival != "closed";
   const bool pipeline = cfg_.workload == "pipeline";
-  // Pipeline trials have no tenant structures (sets_ is empty) but keep
-  // the tenant arrays at their single-domain size so the shared
-  // accounting below never indexes an empty table.
-  const int ntenants = std::max<int>(static_cast<int>(sets_.size()), 1);
-  const bool multi = ntenants > 1;
 
   // Instruments stay disarmed through the prefill. Timeline lanes cover
   // the whole registration-slot table: under churn an event can land on
@@ -674,13 +587,9 @@ TrialResult Trial::run() {
   // Channels split the service tail by op kind (insert/erase/lookup).
   latency_.reset(lanes, Op::kNumKinds, cfg_.enable_latency);
   // Queueing delay (service start minus scheduled arrival) only exists
-  // against an arrival schedule; the per-tenant service recorder keys
-  // its "lanes" by tenant.
+  // against an arrival schedule.
   queue_latency_.reset(lanes, service);
-  tenant_latency_.reset(ntenants, cfg_.enable_latency && multi);
-  for (std::size_t t = 0; t < sets_.size(); ++t) {
-    prefill(*sets_[t], *bundle_.reclaimer, cfg_, static_cast<int>(t));
-  }
+  if (set_) prefill(*set_, *bundle_.reclaimer, cfg_);
   if (pipeline) {
     // Queue prefill on a transient registration, so consumers find work
     // from the first tick instead of spinning on empty until the
@@ -717,14 +626,6 @@ TrialResult Trial::run() {
       cursors[static_cast<std::size_t>(i)].store(
           static_cast<std::uint64_t>(i), std::memory_order_relaxed);
     }
-  }
-  // Completed-op counts per tenant (only reported multi-tenant, but the
-  // single slot is cheap enough to keep unconditionally).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_done(
-      new std::atomic<std::uint64_t>[static_cast<std::size_t>(ntenants)]);
-  for (int t = 0; t < ntenants; ++t) {
-    tenant_done[static_cast<std::size_t>(t)].store(
-        0, std::memory_order_relaxed);
   }
   // Completed and refused ops per Op::Kind, folded in by each worker
   // incarnation as it exits. Only queue ops can be refused (a full
@@ -769,7 +670,6 @@ TrialResult Trial::run() {
           pin_map_[static_cast<std::size_t>(layout_slot)]);
     }
     smr::ThreadHandle handle = bundle_.reclaimer->register_thread();
-    smr::FreeExecutor& ex = bundle_.reclaimer->executor();
     std::atomic<bool>& retire = retire_worker[static_cast<std::size_t>(widx)];
     // Hoisted: the recorder's armed state is fixed for the whole trial,
     // so the disabled path costs one register-held branch per op.
@@ -777,20 +677,17 @@ TrialResult Trial::run() {
     const int lane = handle.slot();
     std::uint64_t done[Op::kNumKinds] = {};
     std::uint64_t refused[Op::kNumKinds] = {};
-    std::vector<std::uint64_t> done_by_tenant(
-        static_cast<std::size_t>(ntenants), 0);
+    // Null for the pipeline workload, whose ops are all queue kinds.
+    ds::ConcurrentSet* const set = set_.get();
     while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
 
     // The op loop, one instantiation per source: `next_op` fills the
     // next op, or returns false once this incarnation has nothing left
-    // to serve. The target structure is resolved before the clock
-    // starts, so the timed span is the structure call alone.
+    // to serve. The timed span is the structure call alone.
     auto run_ops = [&](auto&& next_op) {
       Op op{};
       while (!stop.load(std::memory_order_relaxed) &&
              !retire.load(std::memory_order_relaxed) && next_op(op)) {
-        if (multi) ex.set_lane_tenant(lane, op.tenant);
-        ds::ConcurrentSet* set = pipeline ? nullptr : sets_[op.tenant].get();
         const std::uint64_t op_t0 = record_latency ? now_ns() : 0;
         // Each ds operation opens its own smr::Guard (begin_op/end_op).
         bool ok = true;
@@ -814,13 +711,10 @@ TrialResult Trial::run() {
           }
         }
         if (record_latency) {
-          const std::uint64_t d = now_ns() - op_t0;
-          latency_.record(lane, op.kind, d);
-          tenant_latency_.record(static_cast<int>(op.tenant), d);
+          latency_.record(lane, op.kind, now_ns() - op_t0);
         }
         if (ok) {
           ++done[op.kind];
-          ++done_by_tenant[op.tenant];
         } else {
           // Backpressure: a full (producer) or empty (consumer) queue
           // costs a yield, not a busy retry storm.
@@ -888,7 +782,6 @@ TrialResult Trial::run() {
         queue_latency_.record(lane, now > due ? now - due : 0);
         op.kind = static_cast<Op::Kind>(a.kind);
         op.key = a.key;
-        op.tenant = a.tenant;
         return true;
       });
     } else {
@@ -901,11 +794,6 @@ TrialResult Trial::run() {
     for (int k = 0; k < Op::kNumKinds; ++k) {
       kind_done[k].fetch_add(done[k], std::memory_order_relaxed);
       kind_refused[k].fetch_add(refused[k], std::memory_order_relaxed);
-    }
-    for (int t = 0; t < ntenants; ++t) {
-      tenant_done[static_cast<std::size_t>(t)].fetch_add(
-          done_by_tenant[static_cast<std::size_t>(t)],
-          std::memory_order_relaxed);
     }
   };
 
@@ -1013,16 +901,6 @@ TrialResult Trial::run() {
 
   const alloc::AllocStats alloc_after = allocator_->stats();
   const smr::SmrStats smr_after = bundle_.reclaimer->stats();
-  // Per-tenant ledgers snapshot *before* the teardown flush below wipes
-  // the end-of-window backlog.
-  std::vector<smr::TenantStats> tenant_after;
-  if (multi) {
-    smr::FreeExecutor& ex = bundle_.reclaimer->executor();
-    tenant_after.reserve(static_cast<std::size_t>(ntenants));
-    for (int t = 0; t < ntenants; ++t) {
-      tenant_after.push_back(ex.tenant_stats(t));
-    }
-  }
 
   // Teardown frees are not part of the story the instruments tell.
   timeline_.disarm();
@@ -1091,21 +969,6 @@ TrialResult Trial::run() {
     r.q_p99_ns = latency_percentile(q, 0.99);
     r.q_p999_ns = latency_percentile(q, 0.999);
     r.q_max_ns = q.max_ns;
-  }
-  if (multi) {
-    r.tenant.resize(static_cast<std::size_t>(ntenants));
-    for (int t = 0; t < ntenants; ++t) {
-      TrialResult::TenantResult& tr = r.tenant[static_cast<std::size_t>(t)];
-      const smr::TenantStats& ts = tenant_after[static_cast<std::size_t>(t)];
-      tr.retired = ts.retired;
-      tr.enqueued = ts.enqueued;
-      tr.drained = ts.drained;
-      tr.backlog_end = ts.backlog;
-      tr.completed = tenant_done[static_cast<std::size_t>(t)].load(
-          std::memory_order_relaxed);
-      tr.lat_p999_ns =
-          latency_percentile(tenant_latency_.lane_histogram(t), 0.999);
-    }
   }
   if (daemon_) {
     const smr::ReclaimerDaemon::Stats ds = daemon_->stats();

@@ -74,13 +74,6 @@ struct TrialConfig {
   /// Rate multipliers over equal slices of the window, e.g. "2,0.05" =
   /// busy half then near-idle tail. EMR_PHASES.
   std::vector<double> phases = {1.0};
-  /// Multi-tenant reclamation domains: N independent ds/ instances
-  /// sharing one reclaimer bundle, with per-tenant retire/backlog
-  /// accounting in the executor. 1 compiles the tenant paths out.
-  /// EMR_TENANTS.
-  int tenants = 1;
-  /// Per-event tenant draw weights; empty = uniform. EMR_TENANT_WEIGHTS.
-  std::vector<double> tenant_weights;
   /// Background reclaimer daemon level: "off" | "optimistic" |
   /// "aggressive" (smr/reclaimer_daemon.hpp). "off" leaves the bundle
   /// instruction-identical to the pre-daemon harness.
@@ -106,7 +99,7 @@ struct TrialConfig {
   /// ConcurrentSet; "pipeline" drives a ConcurrentQueue (ds must name
   /// one of ds::queue_names()) with enqueue/dequeue workers instead —
   /// the canonical high-retire-rate SMR client, since every dequeue
-  /// retires a node. Pipeline trials are closed-loop single-tenant.
+  /// retires a node. Pipeline trials are closed-loop only.
   /// EMR_WORKLOAD.
   std::string workload = "set";
   /// Pipeline role split: the first `producers` worker indices enqueue
@@ -137,8 +130,7 @@ void apply_env_overrides(TrialConfig& cfg);
 /// of silently defaulting. The service knobs are policed the same way:
 /// an unknown arrival process or daemon level, a non-positive /
 /// non-finite rate_ops, a negative zipf_s, an empty (or non-finite /
-/// non-positive) phase list, tenants < 1, a weight list whose length
-/// disagrees with tenants, a daemon_period_ms < 1, and an open-loop
+/// non-positive) phase list, a daemon_period_ms < 1, and an open-loop
 /// schedule whose expected event count exceeds core/arrival.hpp's
 /// kMaxArrivals all throw naming the valid range, as do a pin layout
 /// outside off|compact|scatter (EMR_PIN) and a calibrate switch outside
@@ -146,8 +138,8 @@ void apply_env_overrides(TrialConfig& cfg);
 /// a workload outside set|pipeline (EMR_WORKLOAD), producers or a queue
 /// capacity set on the set workload, a pipeline ds that is not a queue
 /// name, producers outside [0, nthreads), and a pipeline trial that is
-/// not closed-loop single-tenant all throw naming the valid
-/// choices/ranges. Trial's constructor runs this on every config.
+/// not closed-loop all throw naming the valid choices/ranges. Trial's
+/// constructor runs this on every config.
 void validate_config(const TrialConfig& cfg);
 
 /// The arrival schedule an open-loop trial of `cfg` serves: Trial::run
@@ -184,17 +176,14 @@ struct Op {
   static constexpr int kNumKinds = 5;
   Kind kind;
   std::uint64_t key;
-  /// Which tenant's structure the op targets (always 0 single-tenant).
-  std::uint32_t tenant = 0;
 };
 
 /// Deterministic per-thread operation stream: the same (config seed, tid)
 /// always replays the same ops, so reclaimers are compared on identical
-/// work. The 5-arg constructor is the legacy uniform single-tenant
-/// stream; the TrialConfig constructor additionally honours zipf_s key
-/// skew and multi-tenant draws — but with zipf_s == 0 and tenants <= 1
-/// it consumes exactly the same random draws, so legacy streams stay
-/// bit-identical.
+/// work. The 5-arg constructor is the legacy uniform stream; the
+/// TrialConfig constructor additionally honours zipf_s key skew — but
+/// with zipf_s == 0 it consumes exactly the same random draws, so
+/// legacy streams stay bit-identical.
 class OpStream {
  public:
   OpStream(std::uint64_t seed, int tid, double insert_frac,
@@ -209,8 +198,6 @@ class OpStream {
   double erase_frac_;
   std::uint64_t keyrange_;
   std::unique_ptr<Zipf> zipf_;  // null = uniform keys (legacy draw)
-  int tenants_ = 1;
-  std::vector<double> tenant_cdf_;  // empty = uniform tenant draw
 };
 
 /// One point of the free-schedule timeline (enable_schedule_trace).
@@ -301,20 +288,6 @@ struct TrialResult {
   double q_p99_ns = 0;
   double q_p999_ns = 0;
   std::uint64_t q_max_ns = 0;
-  /// Per-tenant accounting (empty unless tenants > 1). Retired counts
-  /// are per-retire exact; enqueued/drained attribute whole adopted bags
-  /// to the retiring lane's tenant, and backlog_end = enqueued - drained
-  /// at the window close. completed/p999 come from the per-tenant
-  /// service-latency recorder.
-  struct TenantResult {
-    std::uint64_t retired = 0;
-    std::uint64_t enqueued = 0;
-    std::uint64_t drained = 0;
-    std::uint64_t backlog_end = 0;
-    std::uint64_t completed = 0;
-    double lat_p999_ns = 0;
-  };
-  std::vector<TenantResult> tenant;
   /// Daemon activity over the trial (zeros when reclaimer_daemon "off").
   std::uint64_t daemon_ticks = 0;
   std::uint64_t daemon_quiet_ticks = 0;
@@ -397,15 +370,11 @@ class Trial {
   smr::Reclaimer& reclaimer() { return *bundle_.reclaimer; }
   smr::FreeSchedule& schedule() { return *bundle_.schedule; }
   alloc::Allocator& allocator() { return *allocator_; }
-  /// Tenant 0's structure (the only one single-tenant). Only valid for
-  /// the set workload — pipeline trials build a queue instead.
-  ds::ConcurrentSet& set() { return *sets_[0]; }
-  ds::ConcurrentSet& set(int tenant) {
-    return *sets_[static_cast<std::size_t>(tenant)];
-  }
+  /// The set workload's structure; pipeline trials build a queue
+  /// instead.
+  ds::ConcurrentSet& set() { return *set_; }
   /// The pipeline workload's queue; null for the set workload.
   ds::ConcurrentQueue& queue() { return *queue_; }
-  int tenant_count() const { return static_cast<int>(sets_.size()); }
   /// Null when reclaimer_daemon == "off".
   smr::ReclaimerDaemon* daemon() { return daemon_.get(); }
   const TrialConfig& config() const { return cfg_; }
@@ -417,16 +386,12 @@ class Trial {
   LatencyRecorder latency_;
   /// Open-loop queueing delay, one channel; disarmed in closed loops.
   LatencyRecorder queue_latency_;
-  /// Per-tenant service latency: one "lane" per tenant; armed only for
-  /// multi-tenant trials with the main recorder on.
-  LatencyRecorder tenant_latency_;
   std::unique_ptr<alloc::Allocator> allocator_;
   smr::ReclaimerBundle bundle_;
   // Declared after the bundle: the structures' destructors return their
   // reachable nodes through the reclaimer, so they must be destroyed
-  // first. One set per tenant; sets_[0] is the classic single domain.
-  // Pipeline trials leave sets_ empty and build queue_ instead.
-  std::vector<std::unique_ptr<ds::ConcurrentSet>> sets_;
+  // first. Pipeline trials leave set_ null and build queue_ instead.
+  std::unique_ptr<ds::ConcurrentSet> set_;
   std::unique_ptr<ds::ConcurrentQueue> queue_;
   // Declared last: the daemon joins (and stops touching the bundle)
   // before anything it reads is torn down.

@@ -12,22 +12,8 @@ FreeExecutor::FreeExecutor(const SmrContext& ctx, const SmrConfig& cfg,
     : ctx_(ctx),
       schedule_(schedule),
       stats_hungry_(schedule->consumes_lane_stats()),
-      tenants_(cfg.tenants < 1 ? 1 : cfg.tenants),
-      multi_tenant_(tenants_ > 1),
       lanes_(cfg.slot_capacity()),
-      stash_(cfg.slot_capacity()) {
-  if (multi_tenant_) {
-    // Value-initialized atomic grids: every counter starts at zero.
-    const std::size_t cells =
-        lanes_.size() * static_cast<std::size_t>(tenants_);
-    tenant_retired_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(cells);
-    tenant_enqueued_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(cells);
-    tenant_drained_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(cells);
-  }
-}
+      stash_(cfg.slot_capacity()) {}
 
 FreeExecutor::LaneState& FreeExecutor::lane_state(int lane) {
   const std::size_t i = static_cast<std::size_t>(lane);
@@ -37,17 +23,6 @@ FreeExecutor::LaneState& FreeExecutor::lane_state(int lane) {
 const FreeExecutor::LaneState& FreeExecutor::lane_state(int lane) const {
   const std::size_t i = static_cast<std::size_t>(lane);
   return lanes_[i < lanes_.size() ? i : 0];
-}
-
-void* FreeExecutor::pop_backlog(int lane, std::deque<void*>& nodes,
-                                std::deque<std::uint32_t>& tags) {
-  void* p = nodes.front();
-  nodes.pop_front();
-  if (multi_tenant_) {
-    note_tenant_drained(lane, tags.front(), 1);
-    tags.pop_front();
-  }
-  return p;
 }
 
 void* FreeExecutor::alloc_node(int lane, std::size_t size) {
@@ -199,13 +174,8 @@ void FreeExecutor::on_adopted(int lane, std::vector<void*>&& bag) {
   LaneState& l = lane_state(lane);
   l.enqueued.fetch_add(bag.size(), std::memory_order_relaxed);
   l.adopted_total.fetch_add(bag.size(), std::memory_order_relaxed);
-  const std::uint32_t tenant = lane_tenant(lane);
-  note_tenant_enqueued(lane, tenant, bag.size());
   LaneLock lock(l, daemon_hooked_);
   for (void* p : bag) l.adopted.push_back(p);
-  if (multi_tenant_) {
-    l.adopted_tags.insert(l.adopted_tags.end(), bag.size(), tenant);
-  }
   l.adopted_backlog.store(l.adopted.size(), std::memory_order_relaxed);
 }
 
@@ -220,7 +190,7 @@ std::size_t FreeExecutor::drain_adopted(int lane, std::size_t quota) {
   {
     LaneLock lock(l, daemon_hooked_);
     while (n < quota && !l.adopted.empty()) {
-      void* p = pop_backlog(lane, l.adopted, l.adopted_tags);
+      void* p = pop_backlog(l.adopted);
       routed_free(lane, lane, p);
       ++n;
     }
@@ -253,7 +223,7 @@ void FreeExecutor::quiesce(int lane) {
   {
     LaneLock lock(l, daemon_hooked_);
     while (!l.adopted.empty()) {
-      void* p = pop_backlog(lane, l.adopted, l.adopted_tags);
+      void* p = pop_backlog(l.adopted);
       timed_free(lane, p);
     }
     l.adopted_backlog.store(0, std::memory_order_relaxed);
@@ -272,7 +242,7 @@ std::size_t FreeExecutor::daemon_drain(int lane, std::size_t quota,
       l.adopted_backlog.load(std::memory_order_relaxed) != 0) {
     LaneLock lock(l, true);
     while (n < quota && !l.adopted.empty()) {
-      void* p = pop_backlog(lane, l.adopted, l.adopted_tags);
+      void* p = pop_backlog(l.adopted);
       timed_free_as(lane, daemon_lane, p);
       ++n;
     }
@@ -327,19 +297,6 @@ void FreeExecutor::read_entries(int lane, LaneStats& s) const {
               lane_backlog(lane) + s.stash_backlog;
   s.drain_ns = l.drain_ns.load(std::memory_order_relaxed);
   s.timed_drained = l.timed_drained.load(std::memory_order_relaxed);
-  if (multi_tenant_) {
-    const std::size_t t_count = static_cast<std::size_t>(tenants_);
-    s.tenant_enqueued.resize(t_count);
-    s.tenant_drained.resize(t_count);
-    for (std::size_t t = 0; t < t_count; ++t) {
-      const std::size_t cell =
-          tenant_cell(lane, static_cast<std::uint32_t>(t));
-      s.tenant_drained[t] =
-          tenant_drained_[cell].load(std::memory_order_relaxed);
-      s.tenant_enqueued[t] =
-          tenant_enqueued_[cell].load(std::memory_order_relaxed);
-    }
-  }
 }
 
 LaneStats FreeExecutor::lane_stats(int lane) const {
@@ -360,37 +317,12 @@ std::vector<LaneStats> FreeExecutor::all_lane_stats() const {
   return rows;
 }
 
-TenantStats FreeExecutor::tenant_stats(int tenant) const {
-  TenantStats out;
-  if (!multi_tenant_ || tenant < 0 || tenant >= tenants_) return out;
-  const auto t = static_cast<std::uint32_t>(tenant);
-  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-    const std::size_t cell = tenant_cell(static_cast<int>(lane), t);
-    out.retired += tenant_retired_[cell].load(std::memory_order_relaxed);
-    // drained before enqueued: enqueue counters are bumped before nodes
-    // enter a backlog and drain counters after they leave, so this read
-    // order keeps the derived backlog non-negative.
-    out.drained += tenant_drained_[cell].load(std::memory_order_relaxed);
-    out.enqueued += tenant_enqueued_[cell].load(std::memory_order_relaxed);
-  }
-  out.backlog = out.enqueued > out.drained ? out.enqueued - out.drained : 0;
-  return out;
-}
-
 // ---------------------------------------------------------------- batch
 
 void BatchFreeExecutor::on_reclaimable(int lane, std::vector<void*>&& bag) {
   if (bag.empty()) return;
   lane_state(lane).enqueued.fetch_add(bag.size(),
                                       std::memory_order_relaxed);
-  if (multi_tenant_) {
-    // The whole bag is freed on the spot: it enters and leaves the
-    // tenant's books in one step (bag-granularity attribution to the
-    // lane's current tenant, like every executor hand-over).
-    const std::uint32_t tenant = lane_tenant(lane);
-    note_tenant_enqueued(lane, tenant, bag.size());
-    note_tenant_drained(lane, tenant, bag.size());
-  }
   Timeline* tl = ctx_.timeline;
   const bool instrumented = tl != nullptr && tl->enabled();
   const std::uint64_t t0 = instrumented ? now_ns() : 0;
@@ -414,14 +346,9 @@ void AmortizedFreeExecutor::on_reclaimable(int lane_idx,
                                            std::vector<void*>&& bag) {
   LaneState& l = lane_state(lane_idx);
   l.enqueued.fetch_add(bag.size(), std::memory_order_relaxed);
-  const std::uint32_t tenant = lane_tenant(lane_idx);
-  note_tenant_enqueued(lane_idx, tenant, bag.size());
   Freeable& f = lane(lane_idx);
   LaneLock lock(l, daemon_hooked_);
   for (void* p : bag) f.nodes.push_back(p);
-  if (multi_tenant_) {
-    f.tags.insert(f.tags.end(), bag.size(), tenant);
-  }
   f.size.store(f.nodes.size(), std::memory_order_relaxed);
 }
 
@@ -448,7 +375,7 @@ std::size_t AmortizedFreeExecutor::drain_freeable(int lane_idx,
   {
     LaneLock lock(l, daemon_hooked_);
     while (n < quota && f.nodes.size() > floor) {
-      void* p = pop_backlog(lane_idx, f.nodes, f.tags);
+      void* p = pop_backlog(f.nodes);
       routed_free(lane_idx, lane_idx, p);
       ++n;
     }
@@ -477,7 +404,7 @@ void AmortizedFreeExecutor::quiesce(int lane_idx) {
   Freeable& f = lane(lane_idx);
   LaneLock lock(lane_state(lane_idx), daemon_hooked_);
   while (!f.nodes.empty()) {
-    void* p = pop_backlog(lane_idx, f.nodes, f.tags);
+    void* p = pop_backlog(f.nodes);
     timed_free(lane_idx, p);
   }
   f.size.store(0, std::memory_order_relaxed);
@@ -497,7 +424,7 @@ std::size_t AmortizedFreeExecutor::daemon_drain(int lane_idx,
   }
   LaneLock lock(lane_state(lane_idx), true);
   while (n < quota && f.nodes.size() > floor) {
-    void* p = pop_backlog(lane_idx, f.nodes, f.tags);
+    void* p = pop_backlog(f.nodes);
     timed_free_as(lane_idx, daemon_lane, p);
     ++n;
   }
@@ -533,7 +460,7 @@ void* PoolingFreeExecutor::alloc_node(int lane_idx, std::size_t size) {
       f.size.load(std::memory_order_relaxed) != 0) {
     LaneLock lock(lane_state(lane_idx), daemon_hooked_);
     if (!f.nodes.empty()) {
-      void* p = pop_backlog(lane_idx, f.nodes, f.tags);
+      void* p = pop_backlog(f.nodes);
       f.size.store(f.nodes.size(), std::memory_order_relaxed);
       f.recycled.fetch_add(1, std::memory_order_relaxed);
       note_drained(lane_idx);  // left limbo via reuse

@@ -57,9 +57,6 @@ class AmortizedFreeExecutor : public FreeExecutor {
  protected:
   struct alignas(64) Freeable {
     std::deque<void*> nodes;
-    /// Tenant tags parallel to `nodes`; maintained only when the
-    /// bundle is multi-tenant (empty otherwise).
-    std::deque<std::uint32_t> tags;
     std::atomic<std::uint64_t> size{0};
     /// Allocations the pooling executor served from `nodes`.
     std::atomic<std::uint64_t> recycled{0};

@@ -96,11 +96,7 @@ struct SmrConfig {
   /// names route, others do not); "on"/"off" forces it for any name.
   /// Anything else fails fast in make_reclaimer. EMR_HOME_FLUSH.
   std::string home_flush;
-  /// Reclamation tenants sharing this bundle (docs/SERVICE_MODE.md):
-  /// the executor keeps per-(lane, tenant) retire/enqueue/drain
-  /// counters so one tenant's garbage crowding out another is a
-  /// measurable number. 1 (the default) keeps every tenant-accounting
-  /// path compiled out of the hot loop. EMR_TENANTS.
+  /// Read by nothing; kept only because emrbench/emr_bench.cpp assigns it.
   int tenants = 1;
 
   /// Total registration slots: how many ThreadHandles may be live at
@@ -165,26 +161,6 @@ struct LaneStats {
   std::uint64_t stashed = 0;
   std::uint64_t flushed = 0;
   std::uint64_t stash_backlog = 0;
-  /// Per-tenant split of this lane's traffic, indexed by tenant id.
-  /// Populated by lane_stats() only when the bundle runs multiple
-  /// tenants (SmrConfig::tenants > 1) — single-tenant bundles leave the
-  /// vectors empty so the snapshot stays allocation-free. A tenant's
-  /// outstanding debt on the lane is enqueued - drained.
-  std::vector<std::uint64_t> tenant_enqueued;
-  std::vector<std::uint64_t> tenant_drained;
-};
-
-/// One tenant's bundle-wide totals, summed over lanes by
-/// FreeExecutor::tenant_stats(). `retired` counts Reclaimer::retire
-/// calls attributed to the tenant (debt enters limbo); `enqueued` those
-/// nodes reaching the executor (grace elapsed); `backlog` the ones the
-/// executor still holds (enqueued - drained). Scheme-side limbo is
-/// retired - enqueued.
-struct TenantStats {
-  std::uint64_t retired = 0;
-  std::uint64_t enqueued = 0;
-  std::uint64_t drained = 0;
-  std::uint64_t backlog = 0;
 };
 
 /// Free-schedule policy: every batching decision in the retire->free
@@ -417,40 +393,12 @@ class FreeExecutor {
 
   std::size_t lane_count() const { return lanes_.size(); }
 
-  // ---- multi-tenant accounting (SmrConfig::tenants > 1) ----
-
-  int tenant_count() const { return tenants_; }
-
-  /// Tags `lane`'s *subsequent* traffic — retires, hand-overs, drains —
-  /// with `tenant`. The harness stores the tenant before each op;
-  /// relaxed is enough because only the lane owner reads it back on the
-  /// same call path. No-op bookkeeping when single-tenant.
-  void set_lane_tenant(int lane, std::uint32_t tenant) {
-    if (multi_tenant_) {
-      lanes_[static_cast<std::size_t>(lane)].tenant.store(
-          clamp_tenant(tenant), std::memory_order_relaxed);
-    }
-  }
-
-  std::uint32_t lane_tenant(int lane) const {
-    return lanes_[static_cast<std::size_t>(lane)].tenant.load(
-        std::memory_order_relaxed);
-  }
-
-  /// One retire on `lane`, counted on the lane's own line (and to its
-  /// tenant when multi-tenant). Called by Reclaimer::retire().
+  /// One retire on `lane`, counted on the lane's own line. Called by
+  /// Reclaimer::retire().
   void note_retired(int lane) {
     lanes_[static_cast<std::size_t>(lane)].retired.fetch_add(
         1, std::memory_order_relaxed);
-    if (multi_tenant_) {
-      tenant_retired_[tenant_cell(lane, lane_tenant(lane))].fetch_add(
-          1, std::memory_order_relaxed);
-    }
   }
-
-  /// One tenant's totals summed over lanes. Readable from any thread;
-  /// zeros when single-tenant or out of range.
-  TenantStats tenant_stats(int tenant) const;
 
   // ---- background-daemon hooks (smr/reclaimer_daemon.hpp) ----
 
@@ -478,9 +426,6 @@ class FreeExecutor {
     /// unowned) touches the deque — plus, when a daemon is hooked, the
     /// daemon under `mu`; the atomic mirrors are for readers.
     std::deque<void*> adopted;
-    /// Tenant tags parallel to `adopted`, maintained only when
-    /// multi-tenant (empty otherwise).
-    std::deque<std::uint32_t> adopted_tags;
     /// Un-flushed remainder of the last stash grab: the drainer takes
     /// the whole Treiber stack in one exchange but flushes only
     /// flush_quota blocks per op, so the rest waits here as a private
@@ -495,8 +440,7 @@ class FreeExecutor {
     /// below): the sampler/daemon read them concurrently, and sharing
     /// a line with the owner-mutated containers above would ping-pong
     /// every adoption push (the PR 10 false-sharing audit).
-    alignas(64) std::atomic<std::uint32_t> tenant{0};
-    std::atomic<std::uint64_t> ops{0};
+    alignas(64) std::atomic<std::uint64_t> ops{0};
     /// The ledger, lane-local so no per-op path writes a bundle-wide
     /// line: retires on this lane, and nodes freed or recycled for it.
     std::atomic<std::uint64_t> retired{0};
@@ -578,10 +522,12 @@ class FreeExecutor {
     return t;
   }
 
-  /// Pops the oldest node of a lane backlog (`nodes` with its parallel
-  /// tenant `tags`), settling the tenant's drain count.
-  void* pop_backlog(int lane, std::deque<void*>& nodes,
-                    std::deque<std::uint32_t>& tags);
+  /// Pops the oldest node of a lane backlog.
+  static void* pop_backlog(std::deque<void*>& nodes) {
+    void* p = nodes.front();
+    nodes.pop_front();
+    return p;
+  }
 
   /// Frees up to `quota` nodes from the lane's adoption queue; returns
   /// how many it freed. Takes the lane lock internally when hooked.
@@ -613,30 +559,6 @@ class FreeExecutor {
   /// safe here because on_op_end proves the bundle is live again.
   void maybe_flush_stash(int lane);
 
-  std::size_t tenant_cell(int lane, std::uint32_t tenant) const {
-    return static_cast<std::size_t>(lane) *
-               static_cast<std::size_t>(tenants_) +
-           tenant;
-  }
-
-  std::uint32_t clamp_tenant(std::uint32_t t) const {
-    return t < static_cast<std::uint32_t>(tenants_) ? t : 0;
-  }
-
-  void note_tenant_enqueued(int lane, std::uint32_t t, std::uint64_t n) {
-    if (multi_tenant_ && n > 0) {
-      tenant_enqueued_[tenant_cell(lane, t)].fetch_add(
-          n, std::memory_order_relaxed);
-    }
-  }
-
-  void note_tenant_drained(int lane, std::uint32_t t, std::uint64_t n) {
-    if (multi_tenant_ && n > 0) {
-      tenant_drained_[tenant_cell(lane, t)].fetch_add(
-          n, std::memory_order_relaxed);
-    }
-  }
-
   /// Backlog the daemon must not drain below (the pooling executor's
   /// inventory cap — recycling stock is not debt).
   virtual std::size_t daemon_floor() const { return 0; }
@@ -667,8 +589,6 @@ class FreeExecutor {
   SmrContext ctx_;
   FreeSchedule* schedule_;
   bool stats_hungry_;  // schedule_->consumes_lane_stats(), cached
-  int tenants_;
-  bool multi_tenant_;
   bool daemon_hooked_ = false;
   /// Home-flush routing armed (set_home_flush). Plain bool like
   /// daemon_hooked_: flipped only while no thread runs.
@@ -680,10 +600,6 @@ class FreeExecutor {
   std::atomic<bool> teardown_{false};
   std::vector<LaneState> lanes_;
   std::vector<RemoteStash> stash_;
-  // lane-major [lane][tenant] grids, allocated only when multi-tenant.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_retired_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_enqueued_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_drained_;
 };
 
 /// RAII thread registration. A thread joins a reclaimer's population
@@ -822,7 +738,7 @@ class Reclaimer {
 
   void retire(ThreadHandle& h, void* p) {
     const int slot = check(h);
-    // Count the debt (and its tenant) before it enters limbo.
+    // Count the debt before it enters limbo.
     executor_->note_retired(slot);
     retire_slot(slot, p);
   }

@@ -230,8 +230,6 @@ TEST(Env, ServiceKnobsOverrideOnlyWhenPresent) {
   env.unset("EMR_RATE_OPS");
   env.unset("EMR_ZIPF_S");
   env.unset("EMR_PHASES");
-  env.unset("EMR_TENANTS");
-  env.unset("EMR_TENANT_WEIGHTS");
   env.unset("EMR_RECLAIMER_DAEMON");
   env.unset("EMR_DAEMON_MS");
 
@@ -242,8 +240,6 @@ TEST(Env, ServiceKnobsOverrideOnlyWhenPresent) {
   EXPECT_DOUBLE_EQ(cfg.rate_ops, 12'345);
   EXPECT_DOUBLE_EQ(cfg.zipf_s, 0.0);
   EXPECT_EQ(cfg.phases, (std::vector<double>{1.0}));
-  EXPECT_EQ(cfg.tenants, 1);
-  EXPECT_TRUE(cfg.tenant_weights.empty());
   EXPECT_EQ(cfg.reclaimer_daemon, "off");
   EXPECT_EQ(cfg.daemon_period_ms, 1);
 
@@ -251,8 +247,6 @@ TEST(Env, ServiceKnobsOverrideOnlyWhenPresent) {
   env.set("EMR_RATE_OPS", "250000");
   env.set("EMR_ZIPF_S", "0.99");
   env.set("EMR_PHASES", "2,0.05");
-  env.set("EMR_TENANTS", "2");
-  env.set("EMR_TENANT_WEIGHTS", "10 1");
   env.set("EMR_RECLAIMER_DAEMON", "aggressive");
   env.set("EMR_DAEMON_MS", "5");
   harness::apply_env_overrides(cfg);
@@ -260,8 +254,6 @@ TEST(Env, ServiceKnobsOverrideOnlyWhenPresent) {
   EXPECT_DOUBLE_EQ(cfg.rate_ops, 250000.0);
   EXPECT_DOUBLE_EQ(cfg.zipf_s, 0.99);
   EXPECT_EQ(cfg.phases, (std::vector<double>{2.0, 0.05}));
-  EXPECT_EQ(cfg.tenants, 2);
-  EXPECT_EQ(cfg.tenant_weights, (std::vector<double>{10.0, 1.0}));
   EXPECT_EQ(cfg.reclaimer_daemon, "aggressive");
   EXPECT_EQ(cfg.daemon_period_ms, 5);
   harness::validate_config(cfg);  // the combination is coherent
@@ -279,17 +271,6 @@ TEST(Env, ServiceListKnobsRejectBadTokensNamingThem) {
     const std::string what = e.what();
     EXPECT_NE(what.find("EMR_PHASES"), std::string::npos) << what;
     EXPECT_NE(what.find("nope"), std::string::npos) << what;
-  }
-  env.unset("EMR_PHASES");
-
-  env.set("EMR_TENANT_WEIGHTS", "10,1x");
-  try {
-    harness::apply_env_overrides(cfg);
-    FAIL() << "bad EMR_TENANT_WEIGHTS token must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("EMR_TENANT_WEIGHTS"), std::string::npos) << what;
-    EXPECT_NE(what.find("1x"), std::string::npos) << what;
   }
 }
 
@@ -326,17 +307,6 @@ TEST(Env, ServiceKnobValidationNamesTheRange) {
   expect_naming(cfg, "phases");
   cfg.phases = {1.0, -2.0};
   expect_naming(cfg, "phase multiplier");
-
-  cfg = harness::TrialConfig();
-  cfg.tenants = 0;
-  expect_naming(cfg, "tenants");
-
-  cfg = harness::TrialConfig();
-  cfg.tenants = 3;
-  cfg.tenant_weights = {1.0, 2.0};
-  expect_naming(cfg, "tenant_weights");
-  cfg.tenant_weights = {1.0, 2.0, -1.0};
-  expect_naming(cfg, "tenant weight");
 
   cfg = harness::TrialConfig();
   cfg.reclaimer_daemon = "turbo";
@@ -431,19 +401,14 @@ TEST(Env, PipelineKnobValidationNamesTheRange) {
   cfg.producers = 3;
   harness::validate_config(cfg);  // 3+1 split is fine
 
-  // Pipeline mode is closed-loop and single-tenant (for now): the
-  // open-loop arrival schedule and tenant domains assume set tenants.
+  // Pipeline mode is closed-loop only: the open-loop arrival schedule
+  // draws set ops.
   cfg = harness::TrialConfig();
   cfg.workload = "pipeline";
   cfg.ds = "msqueue";
   cfg.arrival = "poisson";
   cfg.rate_ops = 1000;
   expect_naming(cfg, "closed-loop");
-  cfg = harness::TrialConfig();
-  cfg.workload = "pipeline";
-  cfg.ds = "msqueue";
-  cfg.tenants = 2;
-  expect_naming(cfg, "tenants");
 }
 
 TEST(Env, PinAndCalibrateKnobsOverrideAndValidate) {

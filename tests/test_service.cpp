@@ -1,11 +1,10 @@
 // Service-mode suite (docs/SERVICE_MODE.md): arrival-schedule
 // determinism (same seed -> byte-identical schedule, at every worker
-// count), the shape knobs (phases, bursts, zipf skew, tenant weights),
+// count), the shape knobs (phases, bursts, zipf skew, op mix),
 // open-loop trials completing their offered load and separating
-// queueing delay from service latency, multi-tenant executor ledgers
-// summing exactly, the hot-tenant starvation regression, and the
-// reclaimer-daemon levels — including the *DaemonChurn* start/stop vs
-// handle-churn stress ci/check.sh race-checks under TSAN.
+// queueing delay from service latency, and the reclaimer-daemon levels
+// — including the *DaemonChurn* start/stop vs handle-churn stress
+// ci/check.sh race-checks under TSAN.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,6 +50,10 @@ TEST(ArrivalTest, SameSeedByteIdenticalSchedule) {
     ASSERT_TRUE(a[i] == b[i]) << "event " << i << " diverged";
   }
   EXPECT_EQ(arrival_schedule_hash(a), arrival_schedule_hash(b));
+  // The schedule's identity is pinned, not just self-consistent: a
+  // change to the hashed words or to the per-event draw order moves it.
+  EXPECT_EQ(a.size(), 10070u);
+  EXPECT_EQ(arrival_schedule_hash(a), 0xb05359e68cb3b26bULL);
 }
 
 TEST(ArrivalTest, SeedChangesTheSchedule) {
@@ -149,23 +152,17 @@ TEST(ArrivalTest, ZipfSamplerIsRankedAndDeterministic) {
   EXPECT_EQ(u.sample(0.5), 500u);
 }
 
-TEST(ArrivalTest, TenantWeightsAndOpMixRespected) {
+TEST(ArrivalTest, OpMixRespected) {
   ArrivalConfig cfg = small_arrivals();
-  cfg.tenants = 2;
-  cfg.tenant_weights = {10.0, 1.0};
   cfg.insert_frac = 0.25;
   cfg.erase_frac = 0.25;
   const std::vector<Arrival> s = generate_arrivals(cfg);
-  std::size_t per_tenant[2] = {0, 0};
   std::size_t per_kind[3] = {0, 0, 0};
   for (const Arrival& a : s) {
-    ASSERT_LT(a.tenant, 2u);
     ASSERT_LT(a.kind, 3u);
-    ++per_tenant[a.tenant];
     ++per_kind[a.kind];
   }
   const auto n = static_cast<double>(s.size());
-  EXPECT_NEAR(static_cast<double>(per_tenant[0]), n * 10.0 / 11.0, n * 0.05);
   EXPECT_NEAR(static_cast<double>(per_kind[0]), n * 0.25, n * 0.05);
   EXPECT_NEAR(static_cast<double>(per_kind[1]), n * 0.25, n * 0.05);
   EXPECT_NEAR(static_cast<double>(per_kind[2]), n * 0.50, n * 0.05);
@@ -198,11 +195,6 @@ TEST(ArrivalTest, ValidationNamesFieldAndRange) {
   expect_naming(cfg, "phases");
 
   cfg = small_arrivals();
-  cfg.tenants = 3;
-  cfg.tenant_weights = {1.0, 2.0};  // length disagrees
-  expect_naming(cfg, "tenant_weights");
-
-  cfg = small_arrivals();
   cfg.process = ArrivalConfig::Process::kBurst;
   cfg.burst_duty = 1.5;
   expect_naming(cfg, "burst_duty");
@@ -233,8 +225,8 @@ TEST(DaemonLevelTest, NamesRoundTripAndUnknownThrows) {
 
 TEST(OpStreamServiceTest, LegacyStreamBitIdenticalWithServiceKnobsOff) {
   // The TrialConfig constructor must consume exactly the legacy random
-  // draws while zipf_s == 0 and tenants <= 1 — pre-service-mode trials
-  // replay bit-identically.
+  // draws while zipf_s == 0 — pre-service-mode trials replay
+  // bit-identically.
   TrialConfig cfg;
   cfg.seed = 99;
   cfg.keyrange = 2048;
@@ -246,30 +238,23 @@ TEST(OpStreamServiceTest, LegacyStreamBitIdenticalWithServiceKnobsOff) {
     const Op b = service.next();
     ASSERT_EQ(a.kind, b.kind) << "op " << i;
     ASSERT_EQ(a.key, b.key) << "op " << i;
-    ASSERT_EQ(b.tenant, 0u) << "op " << i;
   }
 }
 
-TEST(OpStreamServiceTest, ZipfAndWeightedTenantsApply) {
+TEST(OpStreamServiceTest, ZipfSkewsKeys) {
   TrialConfig cfg;
   cfg.seed = 5;
   cfg.keyrange = 4096;
   cfg.zipf_s = 1.1;
-  cfg.tenants = 2;
-  cfg.tenant_weights = {10.0, 1.0};
   OpStream s(cfg, 0);
   const int kN = 50000;
   int hot_keys = 0;
-  int per_tenant[2] = {0, 0};
   for (int i = 0; i < kN; ++i) {
     const Op op = s.next();
     ASSERT_LT(op.key, cfg.keyrange);
-    ASSERT_LT(op.tenant, 2u);
     if (op.key < cfg.keyrange / 100) ++hot_keys;
-    ++per_tenant[op.tenant];
   }
   EXPECT_GT(hot_keys, kN / 5);
-  EXPECT_NEAR(per_tenant[0], kN * 10.0 / 11.0, kN * 0.05);
 }
 
 // ------------------------------------------------------ service trials
@@ -352,127 +337,6 @@ TEST(ServiceTrialTest, BurstScheduleRunsAndSeparatesDelay) {
   EXPECT_LE(r.lat_p50_ns, r.lat_p999_ns);
 }
 
-// --------------------------------------------------- tenant accounting
-
-TEST(TenantAccountingTest, ExecutorLedgersSumExactly) {
-  test::TrackingAllocator allocator;
-  smr::SmrContext ctx;
-  ctx.allocator = &allocator;
-  smr::SmrConfig cfg;
-  cfg.num_threads = 2;
-  cfg.batch_size = 8;
-  cfg.af_drain_per_op = 4;
-  cfg.tenants = 2;
-  smr::ReclaimerBundle bundle = smr::make_reclaimer("debra_af", ctx, cfg);
-  smr::Reclaimer& r = *bundle.reclaimer;
-  smr::FreeExecutor& ex = r.executor();
-  ASSERT_EQ(ex.tenant_count(), 2);
-
-  constexpr int kOnTenant0 = 60;
-  constexpr int kOnTenant1 = 25;
-  {
-    smr::ThreadHandle h = r.register_thread();
-    ex.set_lane_tenant(h.slot(), 0);
-    for (int i = 0; i < kOnTenant0; ++i) {
-      smr::Guard g(h);
-      g.retire(r.alloc_node(h, 64));
-    }
-    ex.set_lane_tenant(h.slot(), 1);
-    for (int i = 0; i < kOnTenant1; ++i) {
-      smr::Guard g(h);
-      g.retire(r.alloc_node(h, 64));
-    }
-    // Mid-run invariants: retires are per-retire exact, and whatever
-    // the executor holds right now is exactly the per-tenant backlogs'
-    // sum.
-    const smr::TenantStats t0 = ex.tenant_stats(0);
-    const smr::TenantStats t1 = ex.tenant_stats(1);
-    EXPECT_EQ(t0.retired, static_cast<std::uint64_t>(kOnTenant0));
-    EXPECT_EQ(t1.retired, static_cast<std::uint64_t>(kOnTenant1));
-    EXPECT_EQ(t0.backlog + t1.backlog, ex.backlog());
-    // The lane snapshot carries the same per-tenant split.
-    const smr::LaneStats ls = ex.lane_stats(h.slot());
-    ASSERT_EQ(ls.tenant_enqueued.size(), 2u);
-    ASSERT_EQ(ls.tenant_drained.size(), 2u);
-  }
-  r.flush_all();
-
-  const smr::TenantStats t0 = ex.tenant_stats(0);
-  const smr::TenantStats t1 = ex.tenant_stats(1);
-  EXPECT_EQ(t0.retired + t1.retired,
-            static_cast<std::uint64_t>(kOnTenant0 + kOnTenant1));
-  // Every retired node reached an executor and was freed; drains are
-  // attributed by enqueue-time tags, so the books balance per tenant,
-  // not just in total.
-  EXPECT_EQ(t0.enqueued + t1.enqueued,
-            static_cast<std::uint64_t>(kOnTenant0 + kOnTenant1));
-  EXPECT_EQ(t0.enqueued, t0.drained);
-  EXPECT_EQ(t1.enqueued, t1.drained);
-  EXPECT_EQ(t0.backlog + t1.backlog, 0u);
-  EXPECT_EQ(allocator.live(), 0u);
-  // Out-of-range queries are zeros, not crashes.
-  EXPECT_EQ(ex.tenant_stats(7).retired, 0u);
-}
-
-TEST(TenantAccountingTest, SingleTenantBundleKeepsTenantPathsOff) {
-  test::TrackingAllocator allocator;
-  smr::SmrContext ctx;
-  ctx.allocator = &allocator;
-  smr::SmrConfig cfg;
-  cfg.num_threads = 2;
-  smr::ReclaimerBundle bundle = smr::make_reclaimer("debra", ctx, cfg);
-  smr::FreeExecutor& ex = bundle.reclaimer->executor();
-  EXPECT_EQ(ex.tenant_count(), 1);
-  smr::ThreadHandle h = bundle.reclaimer->register_thread();
-  ex.set_lane_tenant(h.slot(), 5);  // single-tenant: a no-op
-  EXPECT_EQ(ex.lane_tenant(h.slot()), 0u);
-  EXPECT_TRUE(ex.lane_stats(h.slot()).tenant_enqueued.empty());
-  EXPECT_EQ(ex.tenant_stats(0).retired, 0u);
-}
-
-TEST(TenantStarvationTest, HotTenantAccountedAndColdTailBounded) {
-  // The starvation regression: a hot tenant retiring ~10x the cold
-  // tenant's rate must not smear its reclamation debt onto the cold
-  // tenant's ledger, and under the adaptive schedule the cold tenant's
-  // service tail stays bounded.
-  TrialConfig cfg;
-  cfg.nthreads = 2;
-  cfg.keyrange = 1024;
-  cfg.measure_ms = 60;
-  cfg.reclaimer = "debra_adaptive";
-  cfg.enable_latency = true;
-  cfg.tenants = 2;
-  cfg.tenant_weights = {10.0, 1.0};
-  cfg.alloc.remote_free_penalty_ns = 0;
-  harness::Trial trial(cfg);
-  ASSERT_EQ(trial.tenant_count(), 2);
-  const harness::TrialResult r = trial.run();
-  ASSERT_EQ(r.tenant.size(), 2u);
-
-  const harness::TrialResult::TenantResult& hot = r.tenant[0];
-  const harness::TrialResult::TenantResult& cold = r.tenant[1];
-  EXPECT_GT(hot.completed, 3 * cold.completed);
-  EXPECT_GT(hot.retired, 3 * cold.retired);
-  // The ledgers are exact, not sampled: every Reclaimer::retire up to
-  // the end-of-window snapshot appears in exactly one tenant's count...
-  EXPECT_EQ(hot.retired + cold.retired, r.smr_stats.retired);
-  // ...and per-tenant backlog reconciles with the enqueue/drain ledger.
-  EXPECT_EQ(hot.backlog_end, hot.enqueued - hot.drained);
-  EXPECT_EQ(cold.backlog_end, cold.enqueued - cold.drained);
-  // The op loop's counts agree: every completed op belongs to exactly
-  // one tenant and was timed once, on a set-op channel.
-  EXPECT_EQ(hot.completed + cold.completed, r.ops);
-  EXPECT_EQ(r.lat_ops, r.ops);
-  EXPECT_EQ(r.kind_lat[Op::kInsert].ops + r.kind_lat[Op::kErase].ops +
-                r.kind_lat[Op::kLookup].ops,
-            r.ops);
-  EXPECT_EQ(r.kind_lat[Op::kEnqueue].ops + r.kind_lat[Op::kDequeue].ops, 0u);
-  // The cold tenant was served and its tail is sane.
-  ASSERT_GT(cold.completed, 0u);
-  EXPECT_GT(cold.lat_p999_ns, 0.0);
-  EXPECT_LT(cold.lat_p999_ns, 100e6);  // << 100 ms
-}
-
 // ------------------------------------------------------ daemon levels
 
 TEST(DaemonTrialTest, LevelsRunAndAccountExactly) {
@@ -541,7 +405,6 @@ TEST(DaemonChurnTest, StartStopRacesHandleChurn) {
     cfg.af_drain_per_op = 4;
     cfg.epoch_freq = 8;
     cfg.extra_slots = 2;  // churn overlap + the daemon's own slot
-    cfg.tenants = 2;      // exercise the tenant ledgers under race too
     smr::ReclaimerBundle bundle = smr::make_reclaimer(name, ctx, cfg);
     smr::Reclaimer& r = *bundle.reclaimer;
     r.executor().set_daemon_hooked(true);
@@ -550,12 +413,10 @@ TEST(DaemonChurnTest, StartStopRacesHandleChurn) {
     std::atomic<bool> stop{false};
     std::vector<std::thread> churners;
     for (int w = 0; w < 3; ++w) {
-      churners.emplace_back([&r, &stop, w] {
+      churners.emplace_back([&r, &stop] {
         std::uint64_t rounds = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           smr::ThreadHandle h = r.register_thread();
-          r.executor().set_lane_tenant(h.slot(),
-                                       static_cast<std::uint32_t>(w % 2));
           for (int i = 0; i < 8; ++i) {
             smr::Guard g(h);
             g.retire(r.alloc_node(h, 64));
@@ -578,11 +439,6 @@ TEST(DaemonChurnTest, StartStopRacesHandleChurn) {
     const smr::SmrStats st = r.stats();
     EXPECT_EQ(st.pending, 0u) << name;
     EXPECT_EQ(allocator.live(), 0u) << name;
-    // The tenant ledgers stayed exact through every race.
-    const smr::TenantStats t0 = r.executor().tenant_stats(0);
-    const smr::TenantStats t1 = r.executor().tenant_stats(1);
-    EXPECT_EQ(t0.retired + t1.retired, st.retired) << name;
-    EXPECT_EQ(t0.backlog + t1.backlog, 0u) << name;
   }
 }
 

@@ -225,6 +225,9 @@ TEST(TrialTest, LatencyRecorderSurfacesOrderedPercentiles) {
   cfg.reclaimer = "debra_af";
   cfg.measure_ms = 50;
   cfg.enable_latency = true;
+  // Every set kind runs, so each set-op channel below is exercised.
+  cfg.insert_frac = 0.4;
+  cfg.erase_frac = 0.4;
   harness::Trial trial(cfg);
   const harness::TrialResult r = trial.run();
   EXPECT_GT(r.ops, 0u);
@@ -233,6 +236,16 @@ TEST(TrialTest, LatencyRecorderSurfacesOrderedPercentiles) {
   EXPECT_LE(r.lat_p50_ns, r.lat_p99_ns);
   EXPECT_LE(r.lat_p99_ns, r.lat_p999_ns);
   EXPECT_LE(r.lat_p999_ns, static_cast<double>(r.lat_max_ns));
+  // The set loop times every completed op exactly once, on its set-op
+  // channel.
+  EXPECT_EQ(r.lat_ops, r.ops);
+  for (int k : {Op::kInsert, Op::kErase, Op::kLookup}) {
+    EXPECT_GT(r.kind_lat[k].ops, 0u) << "kind " << k;
+  }
+  EXPECT_EQ(r.kind_lat[Op::kInsert].ops + r.kind_lat[Op::kErase].ops +
+                r.kind_lat[Op::kLookup].ops,
+            r.ops);
+  EXPECT_EQ(r.kind_lat[Op::kEnqueue].ops + r.kind_lat[Op::kDequeue].ops, 0u);
 
   // Off stays off: no schedule arms the recorder (and its two clock
   // reads per op) behind the trial's back.
