@@ -30,7 +30,6 @@
 #include "bench_common.hpp"
 #include "core/affinity.hpp"
 #include "smr/factory.hpp"
-#include "smr/pooling_executor.hpp"
 
 using namespace emr;
 using harness::fixed;
@@ -582,7 +581,7 @@ std::vector<Figure> figures() {
                             "token_af", "token_pool"})},
        .threads = Threads::kMax, .single = true,
        .note = "expected: pooling serves most node allocations from the "
-               "freeable list (paper footnote 4: why VBR beats "
+               "lane backlog (paper footnote 4: why VBR beats "
                "allocator-bound EBRs)."},
       {.id = "ablation_remote_penalty", .ref = "modelled remote-free cost",
        .csv = "ablation_remote_penalty.csv",
@@ -649,10 +648,8 @@ Result measure(const Figure& f, const TrialConfig& cfg,
         const EventStats batch = event_stats(trial, EventKind::kBatchFree);
         res.batch_frees += batch.events;
         res.batch_free_ns += batch.total_ns;
-        if (const auto* pool = dynamic_cast<const smr::PoolingFreeExecutor*>(
-                &trial.reclaimer().executor())) {
-          res.pooled_allocs += pool->total_pooled_allocs();
-        }
+        res.pooled_allocs +=
+            trial.reclaimer().executor().total_pooled_allocs();
         if (f.render.key != nullptr) render(f.render, trial, r, csvs);
         if (!accounted) {
           std::fprintf(stderr,

@@ -40,9 +40,10 @@ smoke_json() {
 
 step ctest ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 
-# Reclaimer smoke: every factory name (all bases x batch/_af/_pool)
-# constructs, accounts exactly, and no pointer-protecting name falls
-# back to EBR aliasing (the binary exits non-zero on either violation).
+# Reclaimer smoke: every one of the 90 factory names (each base in its
+# batch, _af, _pool and _adaptive forms and their _hf twins) constructs,
+# accounts exactly, and no pointer-protecting name falls back to EBR
+# aliasing (the binary exits non-zero on either violation).
 step micro-smr "$BUILD_DIR/bench_micro_smr" --smoke
 
 # Data-structure smoke: every ds x base-reclaimer pair model-checks
@@ -113,7 +114,7 @@ step fig-homeflush smoke_json bench_fig_homeflush BENCH_fig_homeflush.json
 # raw SmrConfig batching knobs.
 policy_gate() {
   if grep -nE 'cfg_?\.\s*(batch_size|af_drain_per_op|latency_target_us|flush_batch)' \
-      smr/free_executor.cpp smr/pooling_executor.hpp smr/ebr.cpp \
+      smr/free_executor.hpp smr/free_executor.cpp smr/ebr.cpp \
       smr/token.cpp smr/hp.cpp smr/he_ibr_wfe.cpp smr/nbr.cpp; then
     echo "ci/check.sh: executor/scheme TU reads a raw batching knob —" \
          "route it through FreeSchedule (smr/free_schedule.cpp)" >&2
@@ -129,8 +130,8 @@ step policy-gate policy_gate
 ledger_gate() {
   if grep -nE '\b(retired|freed)_\s*(\{|;|=)' \
       smr/reclaimer.hpp smr/free_executor.hpp smr/free_executor.cpp \
-      smr/pooling_executor.hpp smr/ebr.cpp smr/token.cpp smr/hp.cpp \
-      smr/he_ibr_wfe.cpp smr/nbr.cpp; then
+      smr/ebr.cpp smr/token.cpp smr/hp.cpp smr/he_ibr_wfe.cpp \
+      smr/nbr.cpp; then
     echo "ci/check.sh: bundle-wide retired_/freed_ counter declared —" \
          "count the ledger in FreeExecutor::LaneState" >&2
     return 1
@@ -174,7 +175,8 @@ elif [ -x "$TSAN_DIR/test_ds" ]; then
   step tsan-queue "$TSAN_DIR/test_queue" --gtest_filter='*Concurrent*'
   # ThreadHandle churn stress: register/deregister racing guarded
   # traversals over every reclaimer family (including the _adaptive
-  # executors, whose lane-stats counters feed the controller).
+  # forms — the adaptive schedule over the amortized executor — whose
+  # lane-stats counters feed the controller).
   step tsan-handles "$TSAN_DIR/test_handle_lifecycle" \
     --gtest_filter='*ChurnStress*'
   # Adaptive-executor lane-stats counters: a stats_with_lanes reader

@@ -4,7 +4,6 @@
 
 #include "smr/free_schedule.hpp"
 #include "smr/internal.hpp"
-#include "smr/pooling_executor.hpp"
 
 namespace emr::smr {
 
@@ -25,7 +24,7 @@ std::unique_ptr<FreeExecutor> make_executor(ExecKind kind,
     case ExecKind::kBatch:
       return std::make_unique<BatchFreeExecutor>(ctx, cfg, schedule);
     case ExecKind::kAmortized:
-      return std::make_unique<AmortizedFreeExecutor>(ctx, cfg, schedule);
+      return std::make_unique<FreeExecutor>(ctx, cfg, schedule);
     case ExecKind::kPooling:
       return std::make_unique<PoolingFreeExecutor>(ctx, cfg, schedule);
   }
@@ -130,7 +129,7 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
       topt = {suffix == "_af"     ? "token_af"
               : suffix == "_pool" ? "token_pool"
                                   : "token_adaptive",
-              TokenPolicy::kHandOff};
+              TokenPolicy::kPassFirst};
     }
   } else {
     is_token = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/timing.hpp"
-#include "smr/pooling_executor.hpp"
 
 namespace emr::smr {
 
@@ -169,34 +168,46 @@ void FreeExecutor::on_lane_released(int lane) {
   on_adopted(lane, std::move(bag));
 }
 
-void FreeExecutor::on_adopted(int lane, std::vector<void*>&& bag) {
+void FreeExecutor::on_reclaimable(int lane, std::vector<void*>&& bag) {
   if (bag.empty()) return;
   LaneState& l = lane_state(lane);
   l.enqueued.fetch_add(bag.size(), std::memory_order_relaxed);
-  l.adopted_total.fetch_add(bag.size(), std::memory_order_relaxed);
   LaneLock lock(l, daemon_hooked_);
-  for (void* p : bag) l.adopted.push_back(p);
-  l.adopted_backlog.store(l.adopted.size(), std::memory_order_relaxed);
+  l.backlog.insert(l.backlog.end(), bag.begin(), bag.end());
+  l.backlog_size.store(l.backlog.size(), std::memory_order_relaxed);
 }
 
-std::size_t FreeExecutor::drain_adopted(int lane, std::size_t quota) {
+void FreeExecutor::on_adopted(int lane, std::vector<void*>&& bag) {
+  lane_state(lane).adopted_total.fetch_add(bag.size(),
+                                           std::memory_order_relaxed);
+  // Qualified, so batch parks the hand-off instead of freeing it now.
+  FreeExecutor::on_reclaimable(lane, std::move(bag));
+}
+
+std::size_t FreeExecutor::drain_backlog(int lane, std::size_t quota,
+                                        std::size_t keep, int daemon_lane) {
   LaneState& l = lane_state(lane);
-  if (quota == 0 ||
-      l.adopted_backlog.load(std::memory_order_relaxed) == 0) {
+  if (quota == 0 || l.backlog_size.load(std::memory_order_relaxed) <= keep) {
     return 0;
   }
-  const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
+  const bool owner = daemon_lane < 0;
+  const bool clocked = owner && stats_hungry_;
+  const std::uint64_t t0 = clocked ? now_ns() : 0;
   std::size_t n = 0;
   {
-    LaneLock lock(l, daemon_hooked_);
-    while (n < quota && !l.adopted.empty()) {
-      void* p = pop_backlog(l.adopted);
-      routed_free(lane, lane, p);
+    LaneLock lock(l, daemon_hooked_ || !owner);
+    while (n < quota && l.backlog.size() > keep) {
+      void* p = pop_backlog(l.backlog);
+      if (owner) {
+        routed_free(lane, lane, p);
+      } else {
+        timed_free_as(lane, daemon_lane, p);
+      }
       ++n;
     }
-    l.adopted_backlog.store(l.adopted.size(), std::memory_order_relaxed);
+    l.backlog_size.store(l.backlog.size(), std::memory_order_relaxed);
   }
-  if (stats_hungry_) {
+  if (clocked) {
     l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
     l.timed_drained.fetch_add(n, std::memory_order_relaxed);
   }
@@ -206,8 +217,10 @@ std::size_t FreeExecutor::drain_adopted(int lane, std::size_t quota) {
 void FreeExecutor::on_op_end(int lane) {
   LaneState& l = lane_state(lane);
   l.ops.fetch_add(1, std::memory_order_relaxed);
-  if (l.adopted_backlog.load(std::memory_order_relaxed) != 0) {
-    drain_adopted(lane, drain_quota_for(lane));
+  // Checked here too so an idle lane skips the quota lookup, which is a
+  // full stats snapshot under a stats-hungry schedule.
+  if (l.backlog_size.load(std::memory_order_relaxed) > keep_) {
+    drain_backlog(lane, drain_quota_for(lane), keep_);
   }
   maybe_flush_stash(lane);
 }
@@ -219,15 +232,7 @@ void FreeExecutor::quiesce(int lane) {
   // were already drained. Pre-latch pushes are safe — every lane's
   // quiesce drains its own stash below, and flush_all visits them all.
   teardown_.store(true, std::memory_order_relaxed);
-  LaneState& l = lane_state(lane);
-  {
-    LaneLock lock(l, daemon_hooked_);
-    while (!l.adopted.empty()) {
-      void* p = pop_backlog(l.adopted);
-      timed_free(lane, p);
-    }
-    l.adopted_backlog.store(0, std::memory_order_relaxed);
-  }
+  drain_backlog(lane, ~std::size_t{0}, 0, lane);
   if (home_flush_) {
     while (drain_stash(lane, ~std::size_t{0}, lane) != 0) {
     }
@@ -236,18 +241,7 @@ void FreeExecutor::quiesce(int lane) {
 
 std::size_t FreeExecutor::daemon_drain(int lane, std::size_t quota,
                                        int daemon_lane) {
-  LaneState& l = lane_state(lane);
-  std::size_t n = 0;
-  if (quota != 0 &&
-      l.adopted_backlog.load(std::memory_order_relaxed) != 0) {
-    LaneLock lock(l, true);
-    while (n < quota && !l.adopted.empty()) {
-      void* p = pop_backlog(l.adopted);
-      timed_free_as(lane, daemon_lane, p);
-      ++n;
-    }
-    l.adopted_backlog.store(l.adopted.size(), std::memory_order_relaxed);
-  }
+  std::size_t n = drain_backlog(lane, quota, keep_, daemon_lane);
   // Orphan/idle stash coverage: when routing is armed, the remaining
   // quota flushes this lane's stash from the daemon — the path that
   // keeps departed or idle lanes from stranding stashed blocks. The
@@ -260,13 +254,8 @@ std::size_t FreeExecutor::daemon_drain(int lane, std::size_t quota,
 }
 
 std::uint64_t FreeExecutor::backlog() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    total += lanes_[i].adopted_backlog.load(std::memory_order_relaxed);
-    total += lane_backlog(static_cast<int>(i));
-    total += stash_[i].backlog.load(std::memory_order_relaxed);
-  }
-  return total;
+  return lane_sum(lanes_, &LaneState::backlog_size) +
+         lane_sum(stash_, &RemoteStash::backlog);
 }
 
 // Mid-trial snapshots are unsynchronized by design (one load per
@@ -293,8 +282,8 @@ void FreeExecutor::read_entries(int lane, LaneStats& s) const {
   s.stashed = l.stashed.load(std::memory_order_relaxed);
   s.stash_backlog = stash_[i < stash_.size() ? i : 0].backlog.load(
       std::memory_order_relaxed);
-  s.backlog = l.adopted_backlog.load(std::memory_order_relaxed) +
-              lane_backlog(lane) + s.stash_backlog;
+  s.backlog =
+      l.backlog_size.load(std::memory_order_relaxed) + s.stash_backlog;
   s.drain_ns = l.drain_ns.load(std::memory_order_relaxed);
   s.timed_drained = l.timed_drained.load(std::memory_order_relaxed);
 }
@@ -330,122 +319,17 @@ void BatchFreeExecutor::on_reclaimable(int lane, std::vector<void*>&& bag) {
   if (instrumented) tl->record(lane, EventKind::kBatchFree, t0, now_ns());
 }
 
-// ------------------------------------------------------------ amortized
-
-AmortizedFreeExecutor::AmortizedFreeExecutor(const SmrContext& ctx,
-                                             const SmrConfig& cfg,
-                                             FreeSchedule* schedule)
-    : FreeExecutor(ctx, cfg, schedule), freeable_(cfg.slot_capacity()) {}
-
-AmortizedFreeExecutor::Freeable& AmortizedFreeExecutor::lane(int lane_idx) {
-  const std::size_t i = static_cast<std::size_t>(lane_idx);
-  return freeable_[i < freeable_.size() ? i : 0];
-}
-
-void AmortizedFreeExecutor::on_reclaimable(int lane_idx,
-                                           std::vector<void*>&& bag) {
-  LaneState& l = lane_state(lane_idx);
-  l.enqueued.fetch_add(bag.size(), std::memory_order_relaxed);
-  Freeable& f = lane(lane_idx);
-  LaneLock lock(l, daemon_hooked_);
-  for (void* p : bag) f.nodes.push_back(p);
-  f.size.store(f.nodes.size(), std::memory_order_relaxed);
-}
-
-void AmortizedFreeExecutor::on_adopted(int lane_idx,
-                                       std::vector<void*>&& bag) {
-  // The freeable list already drains at the schedule's quota per op, so
-  // adoption folds straight into it — same amortization, no second
-  // queue.
-  lane_state(lane_idx).adopted_total.fetch_add(bag.size(),
-                                               std::memory_order_relaxed);
-  on_reclaimable(lane_idx, std::move(bag));
-}
-
-std::size_t AmortizedFreeExecutor::drain_freeable(int lane_idx,
-                                                  std::size_t quota,
-                                                  std::size_t floor) {
-  Freeable& f = lane(lane_idx);
-  if (quota == 0 || f.size.load(std::memory_order_relaxed) <= floor) {
-    return 0;
-  }
-  LaneState& l = lane_state(lane_idx);
-  const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
-  std::size_t n = 0;
-  {
-    LaneLock lock(l, daemon_hooked_);
-    while (n < quota && f.nodes.size() > floor) {
-      void* p = pop_backlog(f.nodes);
-      routed_free(lane_idx, lane_idx, p);
-      ++n;
-    }
-    f.size.store(f.nodes.size(), std::memory_order_relaxed);
-  }
-  if (stats_hungry_) {
-    l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
-    l.timed_drained.fetch_add(n, std::memory_order_relaxed);
-  }
-  return n;
-}
-
-void AmortizedFreeExecutor::on_op_end(int lane_idx) {
-  LaneState& l = lane_state(lane_idx);
-  l.ops.fetch_add(1, std::memory_order_relaxed);
-  // One quota bounds the whole op end: the (rare) adoption queue first,
-  // then the freeable backlog takes whatever is left.
-  const std::size_t quota = drain_quota_for(lane_idx);
-  const std::size_t used = drain_adopted(lane_idx, quota);
-  drain_freeable(lane_idx, quota - used, 0);
-  maybe_flush_stash(lane_idx);
-}
-
-void AmortizedFreeExecutor::quiesce(int lane_idx) {
-  FreeExecutor::quiesce(lane_idx);
-  Freeable& f = lane(lane_idx);
-  LaneLock lock(lane_state(lane_idx), daemon_hooked_);
-  while (!f.nodes.empty()) {
-    void* p = pop_backlog(f.nodes);
-    timed_free(lane_idx, p);
-  }
-  f.size.store(0, std::memory_order_relaxed);
-}
-
-std::size_t AmortizedFreeExecutor::daemon_drain(int lane_idx,
-                                                std::size_t quota,
-                                                int daemon_lane) {
-  // The adoption queue first (base behaviour), then the freeable
-  // backlog — two separate critical sections so the lane owner can
-  // interleave. Pool inventory under daemon_floor() stays put.
-  std::size_t n = FreeExecutor::daemon_drain(lane_idx, quota, daemon_lane);
-  Freeable& f = lane(lane_idx);
-  const std::size_t floor = daemon_floor();
-  if (n >= quota || f.size.load(std::memory_order_relaxed) <= floor) {
-    return n;
-  }
-  LaneLock lock(lane_state(lane_idx), true);
-  while (n < quota && f.nodes.size() > floor) {
-    void* p = pop_backlog(f.nodes);
-    timed_free_as(lane_idx, daemon_lane, p);
-    ++n;
-  }
-  f.size.store(f.nodes.size(), std::memory_order_relaxed);
-  return n;
-}
-
-std::uint64_t AmortizedFreeExecutor::lane_backlog(int lane_idx) const {
-  const std::size_t i = static_cast<std::size_t>(lane_idx);
-  return freeable_[i < freeable_.size() ? i : 0].size.load(
-      std::memory_order_relaxed);
-}
-
 // -------------------------------------------------------------- pooling
 
 PoolingFreeExecutor::PoolingFreeExecutor(const SmrContext& ctx,
                                          const SmrConfig& cfg,
                                          FreeSchedule* schedule)
-    : AmortizedFreeExecutor(ctx, cfg, schedule) {}
+    : FreeExecutor(ctx, cfg, schedule) {
+  // Both shipped policies return a constant cap, so one read is exact.
+  keep_ = schedule->pool_cap();
+}
 
-void* PoolingFreeExecutor::alloc_node(int lane_idx, std::size_t size) {
+void* PoolingFreeExecutor::alloc_node(int lane, std::size_t size) {
   // Trials use one node size; recycle only for that size and fall back to
   // the allocator for anything else. The first call claims the size; the
   // CAS runs only while it is unclaimed, so steady-state calls do a
@@ -455,33 +339,18 @@ void* PoolingFreeExecutor::alloc_node(int lane_idx, std::size_t size) {
                          common, size, std::memory_order_relaxed)) {
     common = size;
   }
-  Freeable& f = lane(lane_idx);
-  if (size == common &&
-      f.size.load(std::memory_order_relaxed) != 0) {
-    LaneLock lock(lane_state(lane_idx), daemon_hooked_);
-    if (!f.nodes.empty()) {
-      void* p = pop_backlog(f.nodes);
-      f.size.store(f.nodes.size(), std::memory_order_relaxed);
-      f.recycled.fetch_add(1, std::memory_order_relaxed);
-      note_drained(lane_idx);  // left limbo via reuse
+  LaneState& l = lane_state(lane);
+  if (size == common && l.backlog_size.load(std::memory_order_relaxed) != 0) {
+    LaneLock lock(l, daemon_hooked_);
+    if (!l.backlog.empty()) {
+      void* p = pop_backlog(l.backlog);
+      l.backlog_size.store(l.backlog.size(), std::memory_order_relaxed);
+      l.recycled.fetch_add(1, std::memory_order_relaxed);
+      note_drained(lane);  // left limbo via reuse
       return p;
     }
   }
-  void* p =
-      ctx_.allocator->allocate(lane_idx, std::max(size, sizeof(NodeHeader)));
-  static_cast<NodeHeader*>(p)->birth_era = 0;
-  return p;
-}
-
-void PoolingFreeExecutor::on_op_end(int lane_idx) {
-  LaneState& l = lane_state(lane_idx);
-  l.ops.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t quota = drain_quota_for(lane_idx);
-  const std::size_t used = drain_adopted(lane_idx, quota);
-  // The backlog is inventory: trim only the excess over the schedule's
-  // pool cap, inside the same per-op quota.
-  drain_freeable(lane_idx, quota - used, schedule_->pool_cap());
-  maybe_flush_stash(lane_idx);
+  return FreeExecutor::alloc_node(lane, size);
 }
 
 }  // namespace emr::smr

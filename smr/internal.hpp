@@ -45,9 +45,8 @@ struct EbrOptions {
 
 enum class TokenPolicy {
   kNaive,      // holder frees every thread's safe bags, then passes
-  kPassFirst,  // pass first, then free own safe bags
+  kPassFirst,  // pass first, then hand every own safe bag to the executor
   kPeriodic,   // pass first, free at most one own bag per receipt
-  kHandOff,    // pass first, hand safe bags to the executor (_af/_pool)
 };
 
 struct TokenOptions {

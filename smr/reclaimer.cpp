@@ -53,7 +53,7 @@ void Reclaimer::deregister(ThreadHandle& h) {
   on_population_change(live);
   on_slot_deregister(slot);
   // After the scheme has parked the slot's bags, splice the departing
-  // lane's remote-free stash into the adoption queue: a vacant lane runs
+  // lane's remote-free stash into the lane's backlog: a vacant lane runs
   // no ops, so nothing would flush it until the daemon's next sweep, and
   // a daemon-less config would strand the blocks outright.
   executor().on_lane_released(slot);

@@ -155,7 +155,7 @@ struct LaneStats {
   /// blocks this lane diverted into some owner's stash instead of
   /// freeing them foreign; `flushed` counts blocks that left *this*
   /// lane's stash (flushed locally by the owner, drained by the
-  /// daemon, or folded into the adoption queue when the lane
+  /// daemon, or folded into the lane's backlog when the lane
   /// departed); `stash_backlog` is the gauge of blocks currently
   /// sitting in this lane's stash (also folded into `backlog`).
   std::uint64_t stashed = 0;
@@ -192,7 +192,8 @@ class FreeSchedule {
   /// result (hp applies Michael's H+1 bound) but never exceed it.
   virtual std::size_t scan_threshold(std::size_t population) const = 0;
 
-  /// The pooling executor's per-lane inventory cap.
+  /// The pooling executor's per-lane inventory cap. Read once, when
+  /// the pooling executor is built, so it must not change afterwards.
   virtual std::size_t pool_cap() const = 0;
 
   /// Population beat: the number of live ThreadHandles, pushed by the
@@ -243,12 +244,15 @@ struct SmrStats {
   std::vector<LaneStats> lanes;
 };
 
-/// Free-schedule executor base: the reclaimer hands bags of
+/// The free-schedule executor: the reclaimer hands bags of
 /// safe-to-reclaim nodes here, and the executor turns them into
-/// allocator traffic (see smr/free_executor.hpp for the batch, amortized,
-/// and pooling implementations). *When* and *how much* to free is not
-/// the executor's call: every quantum comes from the FreeSchedule
-/// policy it is constructed over.
+/// allocator traffic. This class is the amortized executor (the _af and
+/// _adaptive names): every bag joins the lane's one FIFO backlog, and
+/// each op end frees at most the schedule's quota of it. The batch and
+/// pooling executors in smr/free_executor.hpp each override one entry
+/// point of it. *When* and *how much* to free is not the executor's
+/// call: every quantum comes from the FreeSchedule policy it is
+/// constructed over.
 ///
 /// Executors do not see thread identity at all: every entry point takes
 /// the registration-slot `lane` the owning reclaimer derived from the
@@ -260,10 +264,10 @@ struct SmrStats {
 ///  - Ownership of every pointer in an on_reclaimable() bag transfers to
 ///    the executor; the reclaimer must never touch it again. Each such
 ///    pointer is released exactly once — either by a single
-///    allocator->deallocate() (counted into total_freed() by timed_free)
-///    or, for the pooling executor, by being handed back out of
-///    alloc_node() (also counted: recycling is how the node leaves
-///    limbo).
+///    allocator->deallocate() (counted into total_freed() by
+///    timed_free_as) or, for the pooling executor, by being handed back
+///    out of alloc_node() (also counted: recycling is how the node
+///    leaves limbo).
 ///  - A node handed over is safe to reclaim *now*; executors may delay
 ///    the actual free arbitrarily (delaying is always safe) but may
 ///    never free early, because they never see unsafe nodes at all.
@@ -272,10 +276,13 @@ struct SmrStats {
 ///    *different* lanes (per-lane state, atomic counters). quiesce() and
 ///    destruction are single-threaded: callers must ensure no thread is
 ///    inside an operation.
-///  - quiesce(lane) drains every node the executor still holds for that
-///    lane; after quiesce has run for all lanes, backlog() == 0 and
-///    total_freed() equals the number of nodes ever handed over (plus
-///    pool recycles).
+///  - Every drain of the backlog — per op, by the daemon, at quiesce —
+///    goes through drain_backlog(). The per-op and daemon drains leave
+///    `keep_` nodes in place (the pooling stock; 0 otherwise);
+///    quiesce(lane) drains every node the executor still holds for
+///    that lane. After quiesce has run for all lanes, backlog() == 0
+///    and total_freed() equals the number of nodes ever handed over
+///    (plus pool recycles).
 ///  - A background ReclaimerDaemon may call daemon_drain() on any lane
 ///    concurrently with the lane owner — but only after the bundle was
 ///    armed with set_daemon_hooked(true) *before threads started*. The
@@ -289,8 +296,8 @@ struct SmrStats {
 ///    allocation — the link lives in the dead node's first 8 bytes).
 ///    The owner flushes its own stash locally at
 ///    FreeSchedule::flush_quota per op; the daemon covers departed or
-///    idle lanes; a departing lane's stash folds into the adoption
-///    queue; quiesce() drains the lane's stash completely and latches
+///    idle lanes; a departing lane's stash folds into the lane's
+///    backlog; quiesce() drains the lane's stash completely and latches
 ///    routing off, so teardown strands nothing. Routing off (the
 ///    default) touches none of this — non-hf bundles stay
 ///    instruction-identical to pre-routing builds.
@@ -304,20 +311,21 @@ class FreeExecutor {
   /// allocator. Pooling overrides this.
   virtual void* alloc_node(int lane, std::size_t size);
 
-  /// A bag of nodes is now safe to reclaim. Ownership transfers.
-  virtual void on_reclaimable(int lane, std::vector<void*>&& bag) = 0;
+  /// A bag of nodes is now safe to reclaim. Ownership transfers. The
+  /// default appends it to the lane's backlog; batch overrides this to
+  /// free the bag on the spot.
+  virtual void on_reclaimable(int lane, std::vector<void*>&& bag);
 
   /// A departing slot's hand-off: nodes that are already safe but must
   /// not hit the allocator in one burst (the churn-aware departure
-  /// drain). The default parks the bag in a per-lane adoption queue
-  /// that on_op_end drains at the schedule's quota; amortizing
-  /// executors fold it into their normal freeable backlog instead,
-  /// which obeys the same quota. Ownership transfers.
-  virtual void on_adopted(int lane, std::vector<void*>&& bag);
+  /// drain). Always appended to the lane's backlog, which on_op_end
+  /// drains at the schedule's quota — under the batch executor too.
+  /// Ownership transfers.
+  void on_adopted(int lane, std::vector<void*>&& bag);
 
   /// Routing shorthand for the scheme TUs' drain paths: a bag left by
-  /// a departed generation goes through the amortizing adoption queue,
-  /// a fresh one straight to the schedule's normal path.
+  /// a departed generation goes through the amortizing backlog, a
+  /// fresh one straight to the executor's normal path.
   void hand_over(int lane, bool adopted, std::vector<void*>&& bag) {
     if (adopted) {
       on_adopted(lane, std::move(bag));
@@ -326,14 +334,13 @@ class FreeExecutor {
     }
   }
 
-  /// Called once per completed operation (the amortization hook). The
-  /// base implementation counts the op and drains the lane's adoption
-  /// queue at the schedule's quota; overrides must uphold the same
-  /// per-op ceiling across every backlog they drain.
-  virtual void on_op_end(int lane);
+  /// Called once per completed operation (the amortization hook):
+  /// counts the op, frees at most the schedule's quota of the lane's
+  /// backlog, then flushes the lane's stash when routing is armed.
+  void on_op_end(int lane);
 
   /// Frees any backlog held for `lane`. Single-threaded use only.
-  virtual void quiesce(int lane);
+  void quiesce(int lane);
 
   /// Nodes freed or recycled (== left limbo), summed over lanes. Acquire
   /// loads: a retired count read afterwards covers every free seen here.
@@ -343,6 +350,11 @@ class FreeExecutor {
   /// Reclaimer::retire calls, summed over lanes (note_retired).
   std::uint64_t total_retired() const {
     return lane_sum(lanes_, &LaneState::retired);
+  }
+  /// Allocations the pooling executor served from a backlog, summed
+  /// over lanes; 0 for every other executor.
+  std::uint64_t total_pooled_allocs() const {
+    return lane_sum(lanes_, &LaneState::recycled);
   }
 
   // ---- home-flush routing (docs/FREE_SCHEDULES.md) ----
@@ -371,14 +383,13 @@ class FreeExecutor {
   }
 
   /// Registry hook: `lane`'s owner deregistered. Folds the lane's
-  /// stash into its adoption queue so a departed lane never strands
-  /// blocks — the successor (or daemon, or flush_all) drains them at
-  /// the usual quota instead of in a burst. Called under the
-  /// registration lock while the slot is unowned.
+  /// stash into its backlog so a departed lane never strands blocks —
+  /// the successor (or daemon, or flush_all) drains them at the usual
+  /// quota instead of in a burst. Called under the registration lock
+  /// while the slot is unowned.
   void on_lane_released(int lane);
 
-  /// Nodes held in per-lane backlogs: adoption queues plus any
-  /// executor-specific freeable lists.
+  /// Nodes held for all lanes: the backlogs plus the stashes.
   std::uint64_t backlog() const;
 
   /// The policy every quantum is sourced from.
@@ -413,23 +424,23 @@ class FreeExecutor {
   /// Frees up to `quota` nodes of `lane`'s backlog from the daemon
   /// thread, whose own registration slot is `daemon_lane` — the frees
   /// go to the daemon's allocator lane (its thread cache), the stats to
-  /// the drained lane. Pool inventory at or under daemon_floor() is
-  /// deliberately left alone. Requires daemon_hooked(); returns nodes
-  /// freed.
-  virtual std::size_t daemon_drain(int lane, std::size_t quota,
-                                   int daemon_lane);
+  /// the drained lane — then spends what is left of the quota on the
+  /// lane's stash. The pooling stock (`keep_`) is deliberately left
+  /// alone. Requires daemon_hooked(); returns nodes freed.
+  std::size_t daemon_drain(int lane, std::size_t quota, int daemon_lane);
 
  protected:
   struct alignas(64) LaneState {
-    /// Departure hand-offs awaiting the amortized adoption drain. Only
-    /// the lane's owning thread (or a registry hook while the slot is
-    /// unowned) touches the deque — plus, when a daemon is hooked, the
-    /// daemon under `mu`; the atomic mirrors are for readers.
-    std::deque<void*> adopted;
+    /// Safe nodes awaiting their free, oldest first: amortized bags,
+    /// departure hand-offs, spliced stashes, and the pooling stock.
+    /// Only the lane's owning thread (or a registry hook while the slot
+    /// is unowned) touches the deque — plus, when a daemon is hooked,
+    /// the daemon under `mu`; `backlog_size` mirrors it for readers.
+    std::deque<void*> backlog;
     /// Un-flushed remainder of the last stash grab: the drainer takes
     /// the whole Treiber stack in one exchange but flushes only
     /// flush_quota blocks per op, so the rest waits here as a private
-    /// intrusive chain. Owned like `adopted` (owner thread, or the
+    /// intrusive chain. Owned like `backlog` (owner thread, or the
     /// daemon under `mu`); counted in RemoteStash::backlog until
     /// freed.
     void* stash_chain = nullptr;
@@ -439,7 +450,7 @@ class FreeExecutor {
     /// Hot per-op counters start on their own cache line (alignas
     /// below): the sampler/daemon read them concurrently, and sharing
     /// a line with the owner-mutated containers above would ping-pong
-    /// every adoption push (the PR 10 false-sharing audit).
+    /// every backlog push and pop.
     alignas(64) std::atomic<std::uint64_t> ops{0};
     /// The ledger, lane-local so no per-op path writes a bundle-wide
     /// line: retires on this lane, and nodes freed or recycled for it.
@@ -447,11 +458,13 @@ class FreeExecutor {
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> drained{0};
     std::atomic<std::uint64_t> adopted_total{0};
-    std::atomic<std::uint64_t> adopted_backlog{0};
+    std::atomic<std::uint64_t> backlog_size{0};
     std::atomic<std::uint64_t> drain_ns{0};
     std::atomic<std::uint64_t> timed_drained{0};
     /// Blocks this lane diverted into some owner's stash (monotonic).
     std::atomic<std::uint64_t> stashed{0};
+    /// Allocations the pooling executor served from `backlog`.
+    std::atomic<std::uint64_t> recycled{0};
   };
   static_assert(alignof(LaneState) == 64 && sizeof(LaneState) % 64 == 0,
                 "LaneState must tile cache lines so lanes never share");
@@ -491,13 +504,10 @@ class FreeExecutor {
   };
 
   /// Frees one node through the allocator, timing it into the trial
-  /// timeline as a kFreeCall when instrumentation is on.
-  void timed_free(int lane, void* p) { timed_free_as(lane, lane, p); }
-
-  /// timed_free with split attribution: stats (drained counters) to
-  /// `stats_lane`, the allocator call and timeline event to
-  /// `alloc_lane` — the daemon frees on its own allocator lane so the
-  /// modelled thread caches stay single-owner.
+  /// timeline as a kFreeCall when instrumentation is on. Stats (drained
+  /// counters) go to `stats_lane`, the allocator call and timeline
+  /// event to `alloc_lane` — the daemon frees on its own allocator lane
+  /// so the modelled thread caches stay single-owner.
   void timed_free_as(int stats_lane, int alloc_lane, void* p);
 
   /// timed_free_as through allocator->free_local_hint: the stash-drain
@@ -529,9 +539,16 @@ class FreeExecutor {
     return p;
   }
 
-  /// Frees up to `quota` nodes from the lane's adoption queue; returns
-  /// how many it freed. Takes the lane lock internally when hooked.
-  std::size_t drain_adopted(int lane, std::size_t quota);
+  /// The one backlog drain: frees up to `quota` of `lane`'s oldest
+  /// backlog nodes, leaving at least `keep`; returns how many. An
+  /// owner drain (daemon_lane < 0) routes each free through
+  /// routed_free, takes the lane lock only when a daemon is hooked,
+  /// and clocks the burst only when the schedule consumes lane stats.
+  /// An off-path drain frees on allocator lane `daemon_lane`, unrouted
+  /// and unclocked, and always takes the lane lock: the daemon passes
+  /// its own slot, quiesce the drained lane itself.
+  std::size_t drain_backlog(int lane, std::size_t quota, std::size_t keep,
+                            int daemon_lane = -1);
 
   /// The hot-path free for every amortizing/batched drain: when
   /// home-flush routing is armed and `p`'s allocator home lane is a
@@ -559,10 +576,6 @@ class FreeExecutor {
   /// safe here because on_op_end proves the bundle is live again.
   void maybe_flush_stash(int lane);
 
-  /// Backlog the daemon must not drain below (the pooling executor's
-  /// inventory cap — recycling stock is not debt).
-  virtual std::size_t daemon_floor() const { return 0; }
-
   /// The schedule's quantum for this lane's op end. Builds the stats
   /// snapshot only when the policy consumes it, so constant-quantum
   /// schedules cost one virtual call per op.
@@ -579,15 +592,12 @@ class FreeExecutor {
   void read_exits(int lane, LaneStats& s) const;
   void read_entries(int lane, LaneStats& s) const;
 
-  /// Executor-specific backlog beyond the adoption queue (the
-  /// amortized executor's freeable list).
-  virtual std::uint64_t lane_backlog(int lane) const {
-    (void)lane;
-    return 0;
-  }
-
   SmrContext ctx_;
   FreeSchedule* schedule_;
+  /// Backlog the per-op and daemon drains leave in place: the pooling
+  /// executor's recycling stock, which is inventory rather than debt.
+  /// Set once from FreeSchedule::pool_cap; 0 for every other executor.
+  std::size_t keep_ = 0;
   bool stats_hungry_;  // schedule_->consumes_lane_stats(), cached
   bool daemon_hooked_ = false;
   /// Home-flush routing armed (set_home_flush). Plain bool like
@@ -744,7 +754,7 @@ class Reclaimer {
   }
 
   /// Node allocation goes through the reclaimer so pooling variants can
-  /// serve it from the freeable list and era schemes can stamp birth
+  /// serve it from the lane's backlog and era schemes can stamp birth
   /// eras.
   void* alloc_node(ThreadHandle& h, std::size_t size) {
     return alloc_node_slot(check(h), size);

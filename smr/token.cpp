@@ -2,8 +2,8 @@
 // circulates among the *registered* slots; holding it proves every other
 // thread has quiesced since the previous visit, so a bag sealed at pass
 // p is safe once enough further passes have happened for two full
-// rotations. The four policies differ only in the free schedule the
-// holder runs:
+// rotations. The variants differ only in the free schedule the holder
+// runs:
 //
 //   token_naive     - the holder frees EVERY thread's safe bags before
 //                     passing: frees serialize on one thread, rotations
@@ -13,7 +13,7 @@
 //                     batches (Fig 7).
 //   token           - pass first, free at most one bag per receipt: the
 //                     periodic variant (Fig 8).
-//   token_af        - pass first, hand safe bags to the amortized
+//   token_af        - token_passfirst's policy over the amortized
 //                     executor: per-op drains, no pile-up (Fig 9).
 //
 // Churn: pass_token routes to the next *active* slot, so a vacated slot
@@ -285,12 +285,6 @@ class TokenReclaimer final : public Reclaimer {
       case TokenPolicy::kPeriodic:
         pass_token(slot_idx, word);
         for (SealedBag& b : take_safe(slot(slot_idx), pass_now, 1)) {
-          hand_over(slot_idx, std::move(b));
-        }
-        break;
-      case TokenPolicy::kHandOff:
-        pass_token(slot_idx, word);
-        for (SealedBag& b : take_safe(slot(slot_idx), pass_now, 0)) {
           hand_over(slot_idx, std::move(b));
         }
         break;

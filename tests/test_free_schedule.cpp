@@ -2,8 +2,9 @@
 // adaptive controller tracks backlog/population and clamps its quantum,
 // nonsensical knob values fail fast naming the knob, EMR_SCHEDULE-style
 // overrides govern any factory name, the pooling cap flows through the
-// policy, and the churn-aware departure drain never frees more than the
-// quota in one op (the adoption-spike regression). The *Concurrent*
+// policy, the churn-aware departure drain never frees more than the
+// quota in one op (the adoption-spike regression), and the daemon's
+// drain leaves the pooling stock in place. The *Concurrent*
 // case races lane-stats readers against live lanes — ci/check.sh runs
 // it under TSAN.
 #include <gtest/gtest.h>
@@ -274,53 +275,103 @@ TEST(FreeSchedule, RegisterExhaustionNamesTheKnob) {
 
 // ------------------------------------- churn-aware departure drain
 
-// The adoption-spike regression (satellite of the FreeSchedule issue):
-// a departing thread's parked bags must reach the allocator at the
-// schedule's quota per op — never as one burst — even under the batch
-// executor, where fresh bags are deliberately freed whole.
+// The adoption-spike regression: a departing thread's parked bags must
+// reach the allocator at the schedule's quota per op — never as one
+// burst. Departure hand-offs join the lane's one backlog under every
+// executor, so the check covers the batch executor (where fresh bags are
+// deliberately freed whole) and the amortized one, across the epoch,
+// hazard-pointer and token families.
 TEST(FreeSchedule, DepartureBacklogNeverSpikesPastQuota) {
   constexpr std::uint64_t kQuota = 4;
   constexpr int kRetired = 40;
-  World w("debra", small_config(/*batch=*/8, /*drain=*/kQuota));
-  smr::ThreadHandle a = w.r().register_thread();
-  smr::ThreadHandle b = w.r().register_thread();
+  for (const char* name : {"debra", "debra_af", "hp", "hp_af", "token_af"}) {
+    SCOPED_TRACE(name);
+    World w(name, small_config(/*batch=*/8, /*drain=*/kQuota));
+    smr::ThreadHandle a = w.r().register_thread();
+    smr::ThreadHandle b = w.r().register_thread();
 
-  std::uint64_t at_release = 0;
-  {
-    smr::ThreadHandle departing = w.r().register_thread();
-    for (int i = 0; i < kRetired; ++i) {
-      smr::Guard g(departing);
-      g.retire(w.r().alloc_node(departing, 64));
+    std::uint64_t at_release = 0;
+    {
+      smr::ThreadHandle departing = w.r().register_thread();
+      for (int i = 0; i < kRetired; ++i) {
+        smr::Guard g(departing);
+        g.retire(w.r().alloc_node(departing, 64));
+      }
+      // Bags that aged while the thread was live may already have been
+      // freed — whole under batch, per op under _af. The regression is
+      // about what happens from the release on.
+      at_release = w.allocator.frees();
+    }  // departs: open bag seals, every parked bag is marked adopted
+    EXPECT_LE(w.allocator.frees() - at_release, kQuota)
+        << "the departure itself must not burst-free the backlog";
+
+    smr::ThreadHandle succ = w.r().register_thread();  // adopts the lane
+    std::uint64_t prev = w.allocator.frees();
+    for (int i = 0; i < 600 && w.allocator.frees() < kRetired; ++i) {
+      { smr::Guard g(succ); }
+      std::uint64_t now = w.allocator.frees();
+      EXPECT_LE(now - prev, kQuota)
+          << "op " << i << " freed a larger-than-quota burst";
+      prev = now;
+      { smr::Guard g(a); }
+      { smr::Guard g(b); }
+      now = w.allocator.frees();
+      // The other lanes hold no backlog; nothing may drain there.
+      EXPECT_LE(now - prev, kQuota) << "op " << i;
+      prev = now;
     }
-    // Bags that aged while the thread was live may already have been
-    // batch-freed — that is the batch executor's designed behaviour.
-    // The regression is about what happens from the release on.
-    at_release = w.allocator.frees();
-  }  // departs: open bag seals, every parked bag is marked adopted
-  EXPECT_LE(w.allocator.frees() - at_release, kQuota)
-      << "the departure itself must not burst-free the backlog";
+    EXPECT_GE(w.allocator.frees(), static_cast<std::uint64_t>(kRetired))
+        << "the adopted backlog must fully drain through the quota";
 
-  smr::ThreadHandle succ = w.r().register_thread();  // adopts the lane
-  std::uint64_t prev = w.allocator.frees();
-  for (int i = 0; i < 600 && w.allocator.frees() < kRetired; ++i) {
-    { smr::Guard g(succ); }
-    std::uint64_t now = w.allocator.frees();
-    EXPECT_LE(now - prev, kQuota)
-        << "op " << i << " freed a larger-than-quota burst";
-    prev = now;
-    { smr::Guard g(a); }
-    { smr::Guard g(b); }
-    now = w.allocator.frees();
-    // The other lanes hold no backlog; nothing may drain there.
-    EXPECT_LE(now - prev, kQuota) << "op " << i;
-    prev = now;
+    w.r().flush_all();
+    EXPECT_EQ(w.r().stats().pending, 0u);
+    EXPECT_EQ(w.allocator.live(), 0u);
   }
-  EXPECT_GE(w.allocator.frees(), static_cast<std::uint64_t>(kRetired))
-      << "the adopted backlog must fully drain through the quota";
+}
 
-  w.r().flush_all();
-  EXPECT_EQ(w.r().stats().pending, 0u);
-  EXPECT_EQ(w.allocator.live(), 0u);
+// The daemon frees reclamation debt, not recycling stock: one
+// unbounded daemon_drain empties an amortized lane's backlog but leaves
+// a pooling lane at exactly the schedule's pool cap. The nodes are
+// allocated up front so the pool cannot recycle its backlog away.
+TEST(FreeSchedule, DaemonDrainKeepsThePoolStock) {
+  constexpr std::size_t kPoolCap = 16;
+  constexpr int kNodes = 800;
+  for (const char* name : {"debra_af", "debra_pool", "hp_pool"}) {
+    SCOPED_TRACE(name);
+    smr::SmrConfig cfg = small_config(/*batch=*/8, /*drain=*/1);
+    cfg.pool_cap = kPoolCap;
+    World w(name, cfg);
+    smr::FreeExecutor& ex = w.r().executor();
+    ex.set_daemon_hooked(true);
+    smr::ThreadHandle h = w.r().register_thread();
+    smr::ThreadHandle other = w.r().register_thread();
+    smr::ThreadHandle daemon = w.r().register_thread();
+
+    std::vector<void*> nodes;
+    for (int i = 0; i < kNodes; ++i) {
+      nodes.push_back(w.r().alloc_node(h, 64));
+    }
+    for (std::size_t i = 0; i < nodes.size(); i += 4) {
+      {
+        smr::Guard g(h);
+        for (std::size_t j = i; j < i + 4; ++j) g.retire(nodes[j]);
+      }
+      { smr::Guard g(other); }
+    }
+    const std::uint64_t before = ex.lane_stats(h.slot()).backlog;
+    ASSERT_GT(before, 400u) << "precondition: a deep backlog on the lane";
+
+    const std::size_t freed = ex.daemon_drain(h.slot(), 1 << 20,
+                                              daemon.slot());
+    const std::uint64_t keep =
+        std::string(name).ends_with("_pool") ? kPoolCap : 0;
+    EXPECT_EQ(ex.lane_stats(h.slot()).backlog, keep);
+    EXPECT_EQ(freed, before - keep);
+
+    w.r().flush_all();
+    EXPECT_EQ(w.r().stats().pending, 0u);
+    EXPECT_EQ(w.allocator.live(), 0u);
+  }
 }
 
 // Adaptive end-to-end accounting: the _adaptive variants retire/flush

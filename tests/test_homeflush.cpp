@@ -2,7 +2,7 @@
 // grammar and the EMR_HOME_FLUSH override, the flush_quota policies,
 // routed frees landing on the owner's stash and flushing locally with
 // an exact stashed/flushed ledger on the tracking allocator, departure
-// splicing a live stash into the adoption queue, the daemon adopting a
+// splicing a live stash into the lane's backlog, the daemon adopting a
 // vacant lane's stash, and teardown stranding nothing across every
 // scheme family. The *Concurrent* case races many producers pushing one
 // owner's MPSC stash against the owner flushing it — ci/check.sh runs
@@ -237,7 +237,7 @@ TEST(HomeFlush, HfVariantsAccountExactlyAcrossFamilies) {
 
 // ---------------------------------------- departure + orphan adoption
 
-// A lane departing with a fed stash folds it into the adoption queue at
+// A lane departing with a fed stash folds it into the lane's backlog at
 // deregister time — the ledger counts the splice as flushed and the
 // backlog gauge drops to zero immediately, long before flush_all.
 TEST(HomeFlush, DepartureSplicesStashIntoAdoption) {

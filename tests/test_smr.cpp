@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "smr/factory.hpp"
-#include "smr/pooling_executor.hpp"
+#include "smr/free_executor.hpp"
 #include "tests/tracking_allocator.hpp"
 
 namespace {
@@ -116,7 +116,7 @@ TEST(SmrAmortized, DrainRateBoundsFreesPerOp) {
   const std::size_t kDrain = 4;
   World w("debra_af", kBatch, kDrain);
   w.retire_nodes(0, static_cast<int>(kBatch));
-  for (int i = 0; i < 64; ++i) w.tick();  // bag reaches the freeable list
+  for (int i = 0; i < 64; ++i) w.tick();  // bag reaches the lane backlog
 
   const std::uint64_t before = w.r().stats().freed;
   w.r().begin_op(w.h(0));
