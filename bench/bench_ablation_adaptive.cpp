@@ -9,8 +9,9 @@
 // produces, so the table shows not just throughput and peak garbage but
 // how hard the controller actually worked.
 //
-//   EMR_RECLAIMER   - base reclaimer to ablate (suffixes are stripped;
-//                     default debra)
+//   EMR_RECLAIMER   - scheme and routing to ablate: each form replaces
+//                     its form suffix and `_hf` stays (default debra;
+//                     hp_hf sweeps hp_hf, hp_af_hf and hp_adaptive_hf)
 //   EMR_CHURN_SWEEP - churn intervals in ms (0 = the no-churn baseline,
 //                     always run first)
 //   --json <path>   - mirror the table as a JSON array (bench_common)
@@ -32,7 +33,8 @@ using namespace emr::bench;
 
 namespace {
 
-const char* kSuffixes[] = {"", "_af", "_adaptive"};
+const smr::FreeForm kForms[] = {smr::FreeForm::kBatch, smr::FreeForm::kAf,
+                                smr::FreeForm::kAdaptive};
 
 harness::TrialConfig smoke_config(const std::string& reclaimer) {
   harness::TrialConfig cfg;
@@ -72,7 +74,7 @@ int run_smoke() {
   std::uint64_t peak_sum[3] = {0, 0, 0};
   for (const std::string& base : smr::experiment2_reclaimers()) {
     for (int s = 0; s < 3; ++s) {
-      const std::string name = base + kSuffixes[s];
+      const std::string name = smr::reclaimer_name({base, kForms[s]});
       harness::run_trials(
           smoke_config(name), kSmokeSeeds,
           [&](harness::Trial& trial, const harness::TrialResult& r,
@@ -131,12 +133,13 @@ int main(int argc, char** argv) {
   base.nthreads = std::max(base.nthreads, 2);
   base.enable_garbage = true;
   base.enable_schedule_trace = true;
-  const std::string reclaimer_base =
-      smr::reclaimer_base_name(base.reclaimer);
+  const smr::ReclaimerSpec spec = smr::parse_reclaimer(base.reclaimer);
   harness::print_banner(
       "Ablation: fixed vs adaptive free schedules",
       "beyond the paper: population-aware batching (FreeSchedule layer)",
-      describe(base) + " reclaimer=" + reclaimer_base);
+      describe(base) + " reclaimer=" +
+          smr::reclaimer_name(
+              {spec.scheme, smr::FreeForm::kBatch, spec.home_flush}));
 
   std::vector<int> churn_sweep = env_int_list("EMR_CHURN_SWEEP");
   if (churn_sweep.empty()) churn_sweep = {20};
@@ -148,10 +151,11 @@ int main(int argc, char** argv) {
   for (int nthreads : default_thread_sweep()) {
     if (nthreads < 2) continue;  // churn rows need a survivor
     for (int churn_ms : churn_sweep) {
-      for (const char* suffix : kSuffixes) {
+      for (const smr::FreeForm form : kForms) {
         harness::TrialConfig cfg = base;
         cfg.nthreads = nthreads;
-        cfg.reclaimer = reclaimer_base + suffix;
+        cfg.reclaimer =
+            smr::reclaimer_name({spec.scheme, form, spec.home_flush});
         cfg.churn_interval_ms = churn_ms;
         const harness::AggregateResult c =
             harness::run_trials(cfg, {cfg.seed});

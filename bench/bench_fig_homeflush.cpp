@@ -10,7 +10,8 @@
 // dead blocks in the stashes long enough to re-inflate peak garbage —
 // the paper's "too epic" trade-off one layer down.
 //
-//   EMR_RECLAIMER  - base reclaimer (suffixes stripped; debra)
+//   EMR_RECLAIMER  - scheme of the swept names; the sweep sets their
+//                    form and `_hf` (debra)
 //   EMR_DS         - queue flavor (msqueue | lockedqueue; msqueue)
 //   --json <path>  - mirror the table as JSON (bench_common);
 //                    with --smoke, `--json BENCH_fig_homeflush.json` from
@@ -96,8 +97,7 @@ int run_smoke(int argc, char** argv) {
   auto cell = [&](const std::string& name, std::size_t flush_batch) {
     const harness::AggregateResult c =
         run_row(table, smoke_config(name, flush_batch), kSmokeSeeds);
-    const bool hf =
-        name.size() > 3 && name.compare(name.size() - 3, 3, "_hf") == 0;
+    const bool hf = smr::parse_reclaimer(name).home_flush;
     ok &= c.accounted && (hf || c.stashed + c.flushed == 0);
     return c;
   };
@@ -188,29 +188,31 @@ int main(int argc, char** argv) {
   bool is_queue = false;
   for (const std::string& n : ds::queue_names()) is_queue |= (n == base.ds);
   if (!is_queue) base.ds = "msqueue";
-  const std::string reclaimer_base =
-      smr::reclaimer_base_name(base.reclaimer);
+  const std::string scheme = smr::parse_reclaimer(base.reclaimer).scheme;
   harness::print_banner(
       "Home-flush routing: foreign frees rerouted to their owners",
       "beyond the paper: per-owner remote-free stashes "
       "(docs/FREE_SCHEDULES.md)",
-      describe(base) + " reclaimer=" + reclaimer_base +
+      describe(base) + " reclaimer=" + scheme +
           " cap=" + std::to_string(base.queue_cap));
 
   harness::Table table(kColumns);
-  const char* kForms[] = {"_af", "_af_hf", "_adaptive_hf"};
+  const smr::ReclaimerSpec kForms[] = {
+      {scheme, smr::FreeForm::kAf, false},
+      {scheme, smr::FreeForm::kAf, true},
+      {scheme, smr::FreeForm::kAdaptive, true}};
   const std::size_t kFlushBatches[] = {16, 64, 1024, 4096};
   for (int nthreads : default_thread_sweep()) {
     const int producers = nthreads / 2;
     if (producers == 0) continue;  // the split needs >= 2 threads
-    for (const char* form : kForms) {
-      const bool hf = std::strstr(form, "_hf") != nullptr;
+    for (const smr::ReclaimerSpec& form : kForms) {
       for (const std::size_t fb : kFlushBatches) {
-        if (!hf && fb != 64) continue;  // flush_batch is dead weight off
+        // flush_batch is dead weight without routing.
+        if (!form.home_flush && fb != 64) continue;
         harness::TrialConfig cfg = base;
         cfg.nthreads = nthreads;
         cfg.producers = producers;
-        cfg.reclaimer = reclaimer_base + form;
+        cfg.reclaimer = smr::reclaimer_name(form);
         cfg.smr.flush_batch = fb;
         run_row(table, cfg, {cfg.seed});
       }

@@ -6,7 +6,9 @@
 // The headline shape: fixed-batch p99.9 blows up by the whole-bag drain
 // cost while mops stays flat — throughput alone cannot see the harm.
 //
-//   EMR_RECLAIMER - base reclaimer (suffixes stripped; debra)
+//   EMR_RECLAIMER - scheme and routing of the swept names: each form
+//                   replaces its form suffix and `_hf` stays (debra;
+//                   hp_hf sweeps hp_hf, hp_af_hf and hp_adaptive_hf)
 //   --json <path> - mirror the table as JSON (bench_common);
 //                   with --smoke, `--json BENCH_fig_latency.json` from
 //                   the repo root refreshes the committed snapshot
@@ -30,7 +32,8 @@ using namespace emr::bench;
 
 namespace {
 
-const char* kSuffixes[] = {"", "_af", "_adaptive"};
+const smr::FreeForm kForms[] = {smr::FreeForm::kBatch, smr::FreeForm::kAf,
+                                smr::FreeForm::kAdaptive};
 
 const std::vector<std::string> kColumns = {
     "threads",     "reclaimer",   "schedule",    "mops",
@@ -76,10 +79,11 @@ int run_smoke(int argc, char** argv) {
   const std::string base = "hp";
   harness::Table table(kColumns);
 
-  harness::AggregateResult cells[std::size(kSuffixes)];
+  harness::AggregateResult cells[std::size(kForms)];
   bool ok = true;
-  for (std::size_t s = 0; s < std::size(kSuffixes); ++s) {
-    const harness::TrialConfig cfg = smoke_config(base + kSuffixes[s]);
+  for (std::size_t s = 0; s < std::size(kForms); ++s) {
+    const harness::TrialConfig cfg =
+        smoke_config(smr::reclaimer_name({base, kForms[s]}));
     cells[s] = run_cell(cfg.reclaimer, cfg, kSmokeSeeds);
     add_row(table, cfg, cells[s]);
     ok &= cells[s].accounted;
@@ -125,20 +129,22 @@ int main(int argc, char** argv) {
 
   harness::TrialConfig base = default_config();
   base.enable_latency = true;
-  const std::string reclaimer_base =
-      smr::reclaimer_base_name(base.reclaimer);
+  const smr::ReclaimerSpec spec = smr::parse_reclaimer(base.reclaimer);
   harness::print_banner(
       "Tail latency: per-op p50/p99/p99.9 vs free schedule",
       "beyond the paper: batch free's harm is a tail phenomenon "
       "(docs/LATENCY.md)",
-      describe(base) + " reclaimer=" + reclaimer_base);
+      describe(base) + " reclaimer=" +
+          smr::reclaimer_name({spec.scheme, smr::FreeForm::kBatch,
+                               spec.home_flush}));
 
   harness::Table table(kColumns);
   for (int nthreads : default_thread_sweep()) {
-    for (const char* suffix : kSuffixes) {
+    for (const smr::FreeForm form : kForms) {
       harness::TrialConfig cfg = base;
       cfg.nthreads = nthreads;
-      cfg.reclaimer = reclaimer_base + suffix;
+      cfg.reclaimer =
+          smr::reclaimer_name({spec.scheme, form, spec.home_flush});
       add_row(table, cfg,
               run_cell("t=" + std::to_string(nthreads) + " " + cfg.reclaimer,
                        cfg, {cfg.seed}));

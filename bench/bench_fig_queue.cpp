@@ -13,7 +13,9 @@
 // dequeue separately — batch drains ride the dequeue path, where retire
 // happens) and the remote-free share that tells the layouts apart.
 //
-//   EMR_RECLAIMER  - base reclaimer (suffixes stripped; debra)
+//   EMR_RECLAIMER  - scheme and routing of the swept names: each form
+//                    replaces its form suffix and `_hf` stays (debra;
+//                    hp_hf sweeps hp_hf, hp_af_hf and hp_adaptive_hf)
 //   EMR_DS         - queue flavor (msqueue | lockedqueue; msqueue)
 //   --json <path>  - mirror the table as JSON (bench_common);
 //                    with --smoke, `--json BENCH_fig_queue.json` from
@@ -40,7 +42,8 @@ using namespace emr::bench;
 
 namespace {
 
-const char* kSuffixes[] = {"", "_af", "_adaptive"};
+const smr::FreeForm kForms[] = {smr::FreeForm::kBatch, smr::FreeForm::kAf,
+                                smr::FreeForm::kAdaptive};
 
 const std::vector<std::string> kColumns = {
     "layout",      "producers",    "threads",     "ds",
@@ -94,17 +97,18 @@ int run_smoke(int argc, char** argv) {
   // layout x schedule on the shared tail cell, 8 workers (4+4 in the
   // asymmetric layout): sym rows first, then asym, so the table reads
   // as two blocks.
-  harness::AggregateResult sym[std::size(kSuffixes)];
-  harness::AggregateResult asym[std::size(kSuffixes)];
+  auto name = [&](std::size_t s) {
+    return smr::reclaimer_name({base, kForms[s]});
+  };
+  harness::AggregateResult sym[std::size(kForms)];
+  harness::AggregateResult asym[std::size(kForms)];
   bool ok = true;
-  for (std::size_t s = 0; s < std::size(kSuffixes); ++s) {
-    sym[s] = run_row(table, tail_pipeline_config(base + kSuffixes[s], 0),
-                     kSmokeSeeds);
+  for (std::size_t s = 0; s < std::size(kForms); ++s) {
+    sym[s] = run_row(table, tail_pipeline_config(name(s), 0), kSmokeSeeds);
     ok &= sym[s].accounted;
   }
-  for (std::size_t s = 0; s < std::size(kSuffixes); ++s) {
-    asym[s] = run_row(table, tail_pipeline_config(base + kSuffixes[s], 4),
-                      kSmokeSeeds);
+  for (std::size_t s = 0; s < std::size(kForms); ++s) {
+    asym[s] = run_row(table, tail_pipeline_config(name(s), 4), kSmokeSeeds);
     ok &= asym[s].accounted;
   }
 
@@ -121,11 +125,11 @@ int run_smoke(int argc, char** argv) {
   // foreign essentially always. The margin is the symmetric layout's
   // own-tcache hit rate, ~1/nthreads, so 0.05 is conservative at 8
   // threads.
-  for (std::size_t s = 0; s < std::size(kSuffixes); ++s) {
+  for (std::size_t s = 0; s < std::size(kForms); ++s) {
     if (asym[s].remote_share() < sym[s].remote_share() + 0.05) {
-      std::printf("FAILED: %s%s asym remote share (%.3f) is not above the "
+      std::printf("FAILED: %s asym remote share (%.3f) is not above the "
                   "sym share (%.3f) by 0.05\n",
-                  base.c_str(), kSuffixes[s], asym[s].remote_share(),
+                  name(s).c_str(), asym[s].remote_share(),
                   sym[s].remote_share());
       ok = false;
     }
@@ -172,13 +176,14 @@ int main(int argc, char** argv) {
   bool is_queue = false;
   for (const std::string& n : ds::queue_names()) is_queue |= (n == base.ds);
   if (!is_queue) base.ds = "msqueue";
-  const std::string reclaimer_base =
-      smr::reclaimer_base_name(base.reclaimer);
+  const smr::ReclaimerSpec spec = smr::parse_reclaimer(base.reclaimer);
   harness::print_banner(
       "Queue pipeline: symmetric vs asymmetric producer/consumer split",
       "beyond the paper: the remote-free cost needs a role split to get "
       "charged (docs/DATA_STRUCTURES.md)",
-      describe(base) + " reclaimer=" + reclaimer_base +
+      describe(base) + " reclaimer=" +
+          smr::reclaimer_name(
+              {spec.scheme, smr::FreeForm::kBatch, spec.home_flush}) +
           " cap=" + std::to_string(base.queue_cap));
 
   harness::Table table(kColumns);
@@ -186,11 +191,12 @@ int main(int argc, char** argv) {
     for (int split = 0; split < 2; ++split) {
       const int producers = split == 0 ? 0 : nthreads / 2;
       if (split == 1 && producers == 0) continue;  // needs >= 2 threads
-      for (const char* suffix : kSuffixes) {
+      for (const smr::FreeForm form : kForms) {
         harness::TrialConfig cfg = base;
         cfg.nthreads = nthreads;
         cfg.producers = producers;
-        cfg.reclaimer = reclaimer_base + suffix;
+        cfg.reclaimer =
+            smr::reclaimer_name({spec.scheme, form, spec.home_flush});
         run_row(table, cfg, {cfg.seed});
       }
     }

@@ -147,7 +147,7 @@ bool smoke_one(const std::string& name) {
   r.flush_all();
   const smr::SmrStats st = r.stats();
 
-  const bool aliased = is_pointer_scheme(smr::reclaimer_base_name(name)) &&
+  const bool aliased = is_pointer_scheme(smr::parse_reclaimer(name).scheme) &&
                        std::strcmp(r.family(), "ebr") == 0;
   const bool accounted =
       st.retired == kOps && st.freed == kOps && st.pending == 0;

@@ -179,7 +179,9 @@ std::string value(const std::string& h, const Row& r) {
   }
   if (h == "alloc") return c.allocator;
   if (h == "approach") {  // the allocator the run used, and the free style
-    return c.allocator + (c.reclaimer.ends_with("_af") ? " amort." : " batch");
+    const bool af =
+        smr::parse_reclaimer(c.reclaimer).form == smr::FreeForm::kAf;
+    return c.allocator + (af ? " amort." : " batch");
   }
   if (h == "configuration") {
     return c.reclaimer +
@@ -284,7 +286,9 @@ void render(const Render& spec, harness::Trial& trial,
               r.mops);
   if (spec.timeline_csv != nullptr) {
     const EventKind kind =
-        cfg.reclaimer.ends_with("_af") ? EventKind::kFreeCall : spec.kind;
+        smr::parse_reclaimer(cfg.reclaimer).form == smr::FreeForm::kAf
+            ? EventKind::kFreeCall
+            : spec.kind;
     const EventStats s = event_stats(trial, kind);
     std::printf("'#' = %s, '|' = epoch advance\n",
                 kind == EventKind::kFreeCall ? "a free call"

@@ -151,6 +151,19 @@ latency_gate() {
 }
 step latency-gate latency_gate
 
+# Name grammar (smr/factory.hpp): a reclaimer name is parsed only by
+# smr::parse_reclaimer; everything else asks its ReclaimerSpec instead
+# of testing for a form or `_hf` suffix by hand.
+grammar_gate() {
+  if grep -rnE '(ends_with|compare|strstr|find)\([^;]*"_(af|hf|pool|adaptive)"' \
+      smr harness bench tests | grep -v '^smr/factory\.cpp:'; then
+    echo "ci/check.sh: reclaimer-name suffix tested by hand —" \
+         "use smr::parse_reclaimer (smr/factory.hpp)" >&2
+    return 1
+  fi
+}
+step grammar-gate grammar_gate
+
 # End-to-end: every paper figure, table and ablation at the size
 # bench_paper --smoke fixes; each cell must account exactly and each CSV
 # must hold a data row.

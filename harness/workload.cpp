@@ -49,12 +49,6 @@ void apply_env_overrides(TrialConfig& cfg) {
     cfg.smr.af_drain_per_op = static_cast<std::size_t>(std::max<std::uint64_t>(
         env_u64("EMR_AF_DRAIN", cfg.smr.af_drain_per_op), 1));
   }
-  if (env_has("EMR_SCHEDULE")) {
-    // Validity ("fixed" | "adaptive") is enforced by make_free_schedule
-    // when the reclaimer is built, so a typo fails loudly with the
-    // valid choices instead of silently running the wrong policy.
-    cfg.smr.schedule = env_str("EMR_SCHEDULE", cfg.smr.schedule);
-  }
   if (env_has("EMR_FLUSH_BATCH")) {
     const long long v = env_i64("EMR_FLUSH_BATCH", -1);
     if (v < 1) {
@@ -63,12 +57,6 @@ void apply_env_overrides(TrialConfig& cfg) {
           "' (must be >= 1: the home-flush quantum's ceiling)");
     }
     cfg.smr.flush_batch = static_cast<std::size_t>(v);
-  }
-  if (env_has("EMR_HOME_FLUSH")) {
-    // Validity ("on" | "off") is enforced by make_reclaimer, so a typo
-    // fails loudly there instead of silently keeping the name-derived
-    // routing setting.
-    cfg.smr.home_flush = env_str("EMR_HOME_FLUSH", cfg.smr.home_flush);
   }
   if (env_has("EMR_DRAIN_MIN")) {
     const long long v = env_i64("EMR_DRAIN_MIN", -1);

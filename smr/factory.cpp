@@ -14,50 +14,67 @@ using internal::EraVariant;
 using internal::TokenOptions;
 using internal::TokenPolicy;
 
-enum class ExecKind { kBatch, kAmortized, kPooling };
-
-std::unique_ptr<FreeExecutor> make_executor(ExecKind kind,
+std::unique_ptr<FreeExecutor> make_executor(FreeForm form,
                                             const SmrContext& ctx,
                                             const SmrConfig& cfg,
                                             FreeSchedule* schedule) {
-  switch (kind) {
-    case ExecKind::kBatch:
+  switch (form) {
+    case FreeForm::kBatch:
       return std::make_unique<BatchFreeExecutor>(ctx, cfg, schedule);
-    case ExecKind::kAmortized:
+    case FreeForm::kAf:
+    case FreeForm::kAdaptive:
+      // The adaptive form amortizes like _af, but the drain quantum and
+      // seal/scan thresholds come from the population-aware controller.
       return std::make_unique<FreeExecutor>(ctx, cfg, schedule);
-    case ExecKind::kPooling:
+    case FreeForm::kPool:
       return std::make_unique<PoolingFreeExecutor>(ctx, cfg, schedule);
   }
   return nullptr;
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() > suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /// The multi-word token variants are whole names, not suffixed forms of
 /// "token".
-bool takes_suffix(const std::string& name) {
-  return name != "token_naive" && name != "token_passfirst";
+bool takes_suffix(const std::string& scheme) {
+  return scheme != "token_naive" && scheme != "token_passfirst";
+}
+
+/// Every constructible spec, in all_factory_names() order.
+const std::vector<ReclaimerSpec>& all_specs() {
+  static const std::vector<ReclaimerSpec> kSpecs = [] {
+    std::vector<ReclaimerSpec> specs;
+    for (const std::string& scheme : reclaimer_names()) {
+      if (!takes_suffix(scheme)) {
+        specs.push_back({scheme});
+        continue;
+      }
+      // Every form, then the home-flush twin of every form.
+      for (const bool hf : {false, true}) {
+        for (const FreeForm form : {FreeForm::kBatch, FreeForm::kAf,
+                                    FreeForm::kPool, FreeForm::kAdaptive}) {
+          specs.push_back({scheme, form, hf});
+        }
+      }
+    }
+    return specs;
+  }();
+  return kSpecs;
 }
 
 }  // namespace
 
-std::string reclaimer_base_name(const std::string& name) {
-  // "_hf" (home-flush) is the outermost suffix: it composes with every
-  // suffixable form (hp_hf, hp_af_hf, token_adaptive_hf), so strip it
-  // before the schedule suffix.
-  std::string rest = name;
-  if (ends_with(rest, "_hf")) rest = rest.substr(0, rest.size() - 3);
-  if (takes_suffix(rest)) {
-    if (ends_with(rest, "_af")) return rest.substr(0, rest.size() - 3);
-    if (ends_with(rest, "_pool")) return rest.substr(0, rest.size() - 5);
-    if (ends_with(rest, "_adaptive")) {
-      return rest.substr(0, rest.size() - 9);
-    }
+std::string reclaimer_name(const ReclaimerSpec& spec) {
+  static const char* const kFormSuffix[] = {"", "_af", "_pool", "_adaptive"};
+  return spec.scheme + kFormSuffix[static_cast<int>(spec.form)] +
+         (spec.home_flush ? "_hf" : "");
+}
+
+ReclaimerSpec parse_reclaimer(const std::string& name) {
+  // The inverse by search: a name parses exactly when it is the
+  // spelling of a constructible spec, so the two can never disagree.
+  for (const ReclaimerSpec& spec : all_specs()) {
+    if (reclaimer_name(spec) == name) return spec;
   }
-  return rest;
+  throw std::invalid_argument("unknown reclaimer: " + name);
 }
 
 ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
@@ -65,55 +82,16 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   if (ctx.allocator == nullptr) {
     throw std::invalid_argument("make_reclaimer: SmrContext.allocator unset");
   }
-
-  // Split off the trailing home-flush marker first ("hp_af_hf" ->
-  // "hp_af" + routing on), then the free-schedule suffix.
-  // SmrConfig::home_flush ("on"/"off", EMR_HOME_FLUSH) overrides the
-  // name-derived setting either way, so one binary can A/B the routing
-  // layer without renaming its reclaimer column.
-  const bool named_hf = ends_with(name, "_hf");
-  bool hf = named_hf;
-  const std::string stem =
-      named_hf ? name.substr(0, name.size() - 3) : name;
-  if (!cfg.home_flush.empty()) {
-    if (cfg.home_flush == "on") {
-      hf = true;
-    } else if (cfg.home_flush == "off") {
-      hf = false;
-    } else {
-      throw std::invalid_argument(
-          "invalid SmrConfig::home_flush: '" + cfg.home_flush +
-          "' (EMR_HOME_FLUSH must be \"on\" or \"off\")");
-    }
-  }
-
-  // Suffixed forms of the fixed token variants ("token_naive_af",
-  // "token_naive_hf") are not in the name grammar — reject them rather
-  // than constructing an untested combination.
-  const std::string base = reclaimer_base_name(stem);
-  const std::string suffix = stem.substr(base.size());
-  if (!takes_suffix(base) && base != name) {
-    throw std::invalid_argument("unknown reclaimer: " + name);
-  }
-  ExecKind exec = ExecKind::kBatch;
-  ScheduleKind sched = ScheduleKind::kFixed;
-  if (suffix == "_af") {
-    exec = ExecKind::kAmortized;
-  } else if (suffix == "_pool") {
-    exec = ExecKind::kPooling;
-  } else if (suffix == "_adaptive") {
-    // The adaptive variants amortize like _af, but the drain quantum and
-    // seal/scan thresholds come from the population-aware controller.
-    exec = ExecKind::kAmortized;
-    sched = ScheduleKind::kAdaptive;
-  }
+  const ReclaimerSpec spec = parse_reclaimer(name);
+  const std::string& base = spec.scheme;
 
   ReclaimerBundle bundle;
-  // SmrConfig::schedule ("fixed" | "adaptive", EMR_SCHEDULE) overrides
-  // the suffix-derived kind inside make_free_schedule.
-  bundle.schedule = make_free_schedule(sched, cfg);
-  bundle.executor = make_executor(exec, ctx, cfg, bundle.schedule.get());
-  bundle.executor->set_home_flush(hf);
+  bundle.schedule = make_free_schedule(spec.form == FreeForm::kAdaptive
+                                           ? ScheduleKind::kAdaptive
+                                           : ScheduleKind::kFixed,
+                                       cfg);
+  bundle.executor = make_executor(spec.form, ctx, cfg, bundle.schedule.get());
+  bundle.executor->set_home_flush(spec.home_flush);
 
   // Token family.
   TokenOptions topt;
@@ -123,12 +101,12 @@ ReclaimerBundle make_reclaimer(const std::string& name, const SmrContext& ctx,
   } else if (base == "token_passfirst") {
     topt = {"token_passfirst", TokenPolicy::kPassFirst};
   } else if (base == "token") {
-    if (suffix.empty()) {
+    if (spec.form == FreeForm::kBatch) {
       topt = {"token", TokenPolicy::kPeriodic};
     } else {
-      topt = {suffix == "_af"     ? "token_af"
-              : suffix == "_pool" ? "token_pool"
-                                  : "token_adaptive",
+      topt = {spec.form == FreeForm::kAf     ? "token_af"
+              : spec.form == FreeForm::kPool ? "token_pool"
+                                             : "token_adaptive",
               TokenPolicy::kPassFirst};
     }
   } else {
@@ -194,17 +172,8 @@ const std::vector<std::string>& reclaimer_names() {
 const std::vector<std::string>& all_factory_names() {
   static const std::vector<std::string> kNames = [] {
     std::vector<std::string> names;
-    for (const std::string& base : reclaimer_names()) {
-      if (!takes_suffix(base)) {
-        names.push_back(base);
-        continue;
-      }
-      // Every form, then the home-flush twin of every form.
-      for (const char* routing : {"", "_hf"}) {
-        for (const char* form : {"", "_af", "_pool", "_adaptive"}) {
-          names.push_back(base + form + routing);
-        }
-      }
+    for (const ReclaimerSpec& spec : all_specs()) {
+      names.push_back(reclaimer_name(spec));
     }
     return names;
   }();

@@ -3,15 +3,12 @@
 //   none | qsbr | rcu | debra | hp | he | ibr | wfe | nbr | nbrplus
 //   token_naive | token_passfirst | token
 //
-// Any base name takes an `_af` suffix (asynchronous per-op free, the
-// paper's fix), a `_pool` suffix (object pooling), or an `_adaptive`
-// suffix (amortized free under the population-aware
-// AdaptiveFreeSchedule controller — see docs/FREE_SCHEDULES.md), and
-// any of those forms an `_hf` home-flush suffix. `token_af` /
-// `token_pool` / `token_adaptive` apply to the periodic token variant.
-// Every bundle carries the FreeSchedule policy that answers its
-// batching questions; SmrConfig::schedule (EMR_SCHEDULE) can force
-// `fixed` or `adaptive` for any name.
+// A name spells a ReclaimerSpec as `<scheme>[_af|_pool|_adaptive][_hf]`.
+// No form suffix is batch free; `_af` is asynchronous per-op free (the
+// paper's fix), `_pool` object pooling, and `_adaptive` amortized free
+// under the population-aware AdaptiveFreeSchedule (docs/FREE_SCHEDULES.md).
+// `_hf` arms home-flush routing. `token_naive` and `token_passfirst` take
+// no suffix. parse_reclaimer and reclaimer_name hold this grammar.
 #pragma once
 
 #include <string>
@@ -20,6 +17,26 @@
 #include "smr/reclaimer.hpp"
 
 namespace emr::smr {
+
+/// How a bundle frees the nodes its scheme hands over: the executor,
+/// and for `kAdaptive` the AdaptiveFreeSchedule instead of the fixed
+/// one.
+enum class FreeForm { kBatch, kAf, kPool, kAdaptive };
+
+/// One reclaimer configuration: a base scheme from reclaimer_names(),
+/// its free form, and whether home-flush routing is armed.
+struct ReclaimerSpec {
+  std::string scheme;
+  FreeForm form = FreeForm::kBatch;
+  bool home_flush = false;
+};
+
+/// The spec a factory name spells. Throws std::invalid_argument for a
+/// name outside all_factory_names().
+ReclaimerSpec parse_reclaimer(const std::string& name);
+
+/// The factory name of `spec`; the inverse of parse_reclaimer.
+std::string reclaimer_name(const ReclaimerSpec& spec);
 
 /// Builds the named reclaimer with its free executor. Throws
 /// std::invalid_argument for an unknown name.
@@ -41,10 +58,5 @@ const std::vector<std::string>& reclaimer_names();
 /// names" — the smoke check and the parameterized scheme tests both
 /// iterate this.
 const std::vector<std::string>& all_factory_names();
-
-/// Strips a `_af`/`_pool`/`_adaptive` suffix according to
-/// the same grammar make_reclaimer uses ("token_passfirst" stays
-/// whole).
-std::string reclaimer_base_name(const std::string& name);
 
 }  // namespace emr::smr

@@ -88,17 +88,20 @@ void FreeExecutor::stash_push(int stats_lane, int home, void* p) {
 }
 
 std::size_t FreeExecutor::drain_stash(int lane, std::size_t quota,
-                                      int alloc_lane) {
+                                      int daemon_lane) {
   const std::size_t i = static_cast<std::size_t>(lane);
   RemoteStash& s = stash_[i < stash_.size() ? i : 0];
   if (quota == 0 || s.backlog.load(std::memory_order_relaxed) == 0) {
     return 0;
   }
   LaneState& l = lane_state(lane);
-  const std::uint64_t t0 = stats_hungry_ ? now_ns() : 0;
+  const bool owner = daemon_lane < 0;
+  const bool clocked = owner && stats_hungry_;
+  const int alloc_lane = owner ? lane : daemon_lane;
+  const std::uint64_t t0 = clocked ? now_ns() : 0;
   std::size_t n = 0;
   {
-    LaneLock lock(l, daemon_hooked_);
+    LaneLock lock(l, daemon_hooked_ || !owner);
     while (n < quota) {
       if (l.stash_chain == nullptr) {
         // Grab the whole Treiber stack in one exchange; the remainder
@@ -114,7 +117,7 @@ std::size_t FreeExecutor::drain_stash(int lane, std::size_t quota,
       ++n;
     }
   }
-  if (stats_hungry_) {
+  if (clocked) {
     l.drain_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
     l.timed_drained.fetch_add(n, std::memory_order_relaxed);
   }
@@ -136,7 +139,7 @@ void FreeExecutor::maybe_flush_stash(int lane) {
   const std::size_t quota =
       stats_hungry_ ? schedule_->flush_quota(lane_stats(lane))
                     : schedule_->flush_quota(LaneStats{});
-  drain_stash(lane, quota, lane);
+  drain_stash(lane, quota);
 }
 
 void FreeExecutor::on_lane_released(int lane) {

@@ -90,17 +90,6 @@ std::size_t AdaptiveFreeSchedule::scan_threshold(
 
 std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
                                                  const SmrConfig& cfg) {
-  if (!cfg.schedule.empty()) {
-    if (cfg.schedule == "fixed") {
-      kind = ScheduleKind::kFixed;
-    } else if (cfg.schedule == "adaptive") {
-      kind = ScheduleKind::kAdaptive;
-    } else {
-      throw std::invalid_argument(
-          "unknown free schedule: '" + cfg.schedule +
-          "' (valid EMR_SCHEDULE values: fixed adaptive)");
-    }
-  }
   if (cfg.batch_size == 0) {
     throw std::invalid_argument(
         "invalid SmrConfig::batch_size: 0 (EMR_BATCH must be >= 1)");

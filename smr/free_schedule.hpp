@@ -103,9 +103,8 @@ class AdaptiveFreeSchedule final : public FreeSchedule {
 
 /// Builds the policy, failing fast (std::invalid_argument naming the
 /// knob) on nonsensical config: batch_size == 0, flush_batch == 0,
-/// drain_min == 0 or drain_max < drain_min. `kind` is the factory-name
-/// default; SmrConfig::schedule ("fixed" | "adaptive", EMR_SCHEDULE)
-/// overrides it, and any other non-empty value throws.
+/// drain_min == 0 or drain_max < drain_min. `kind` comes from the
+/// factory name's form (ReclaimerSpec).
 std::unique_ptr<FreeSchedule> make_free_schedule(ScheduleKind kind,
                                                  const SmrConfig& cfg);
 

@@ -68,11 +68,7 @@ struct SmrConfig {
   /// bumped once per this many node allocations on any one thread (the
   /// IBR paper's epoch_freq). EMR_EPOCH_FREQ.
   std::size_t epoch_freq = 64;
-  /// Free-schedule policy selection: "" follows the factory name's
-  /// suffix (fixed for plain/_af/_pool names, adaptive for the
-  /// *_adaptive variants); "fixed" or "adaptive" forces the choice for
-  /// any name. Anything else fails fast in make_free_schedule.
-  /// EMR_SCHEDULE.
+  /// Read by nothing; kept only because emrbench/emr_bench.cpp assigns it.
   std::string schedule;
   /// Pooling inventory cap per lane; 0 = auto (four batches, floored
   /// at 1024). EMR_POOL_CAP — the env path rejects non-positive values
@@ -92,9 +88,7 @@ struct SmrConfig {
   /// stashes (the "too epic" trade-off one layer down). Must be >= 1.
   /// EMR_FLUSH_BATCH.
   std::size_t flush_batch = 64;
-  /// Home-flush routing override: "" follows the factory name (*_hf
-  /// names route, others do not); "on"/"off" forces it for any name.
-  /// Anything else fails fast in make_reclaimer. EMR_HOME_FLUSH.
+  /// Read by nothing; kept only because emrbench/emr_bench.cpp assigns it.
   std::string home_flush;
   /// Read by nothing; kept only because emrbench/emr_bench.cpp assigns it.
   int tenants = 1;
@@ -142,13 +136,13 @@ struct LaneStats {
   std::uint64_t drained = 0;   // nodes freed or pool-recycled
   std::uint64_t adopted = 0;   // nodes inherited from departing slots
   std::uint64_t backlog = 0;   // nodes currently held for this lane
-  /// ns spent inside amortized drain bursts, and the node count those
-  /// clocked bursts freed — the denominator for a ns-per-free estimate
-  /// (`drained` also counts pool recycles and batch whole-bag frees,
-  /// which are never clocked and would dilute it). Tracked only for
-  /// policies that consume lane stats
-  /// (FreeSchedule::consumes_lane_stats); constant-quantum schedules
-  /// skip the clock reads and leave both 0.
+  /// ns the lane's owner spent in its drain and stash-flush bursts, and
+  /// the node count those clocked bursts freed — the denominator for a
+  /// ns-per-free estimate (`drained` also counts pool recycles, batch
+  /// whole-bag frees and daemon or quiesce drains, which are never
+  /// clocked and would dilute it). Tracked only for policies that
+  /// consume lane stats (FreeSchedule::consumes_lane_stats);
+  /// constant-quantum schedules skip the clock reads and leave both 0.
   std::uint64_t drain_ns = 0;
   std::uint64_t timed_drained = 0;
   /// Home-flush routing (docs/FREE_SCHEDULES.md). `stashed` counts
@@ -360,8 +354,8 @@ class FreeExecutor {
   // ---- home-flush routing (docs/FREE_SCHEDULES.md) ----
 
   /// Arms remote-free routing through the per-lane owner stashes. The
-  /// factory flips it once at construction for *_hf names (or under
-  /// the EMR_HOME_FLUSH override); must not change while threads run.
+  /// factory flips it once at construction for *_hf names; must not
+  /// change while threads run.
   void set_home_flush(bool on) { home_flush_ = on; }
   bool home_flush() const { return home_flush_; }
 
@@ -565,10 +559,11 @@ class FreeExecutor {
   void stash_push(int stats_lane, int home, void* p);
 
   /// Flushes up to `quota` blocks from `lane`'s own stash through
-  /// allocator->free_local_hint on `alloc_lane` (the owner passes its
-  /// own lane; the daemon its own slot). Takes the lane lock when
-  /// hooked; returns blocks freed.
-  std::size_t drain_stash(int lane, std::size_t quota, int alloc_lane);
+  /// allocator->free_local_hint; returns blocks freed. Lanes, locking
+  /// and clocking follow drain_backlog: an owner flush (daemon_lane <
+  /// 0) frees on `lane` and is clocked when the schedule consumes lane
+  /// stats; an off-path flush frees on `daemon_lane`, unclocked.
+  std::size_t drain_stash(int lane, std::size_t quota, int daemon_lane = -1);
 
   /// Per-op stash flush at the schedule's flush_quota; no-op unless
   /// routing is armed and the lane's stash is non-empty. Also re-arms

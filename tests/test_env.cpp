@@ -182,7 +182,6 @@ TEST(Env, ConfigFromEnvUsesEnv) {
 
 TEST(Env, ScheduleKnobsOverrideAndValidate) {
   EnvGuard env;
-  env.unset("EMR_SCHEDULE");
   env.unset("EMR_DRAIN_MIN");
   env.unset("EMR_DRAIN_MAX");
   env.unset("EMR_POOL_CAP");
@@ -190,19 +189,16 @@ TEST(Env, ScheduleKnobsOverrideAndValidate) {
 
   harness::TrialConfig cfg;
   harness::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.smr.schedule, "");  // silent env leaves defaults alone
-  EXPECT_EQ(cfg.smr.drain_min, 1u);
+  EXPECT_EQ(cfg.smr.drain_min, 1u);  // silent env leaves defaults alone
   EXPECT_EQ(cfg.smr.drain_max, 64u);
   EXPECT_EQ(cfg.smr.pool_cap, 0u);
   EXPECT_EQ(cfg.smr.extra_slots, 2u);
 
-  env.set("EMR_SCHEDULE", "adaptive");
   env.set("EMR_DRAIN_MIN", "2");
   env.set("EMR_DRAIN_MAX", "128");
   env.set("EMR_POOL_CAP", "4096");
   env.set("EMR_EXTRA_SLOTS", "5");
   harness::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.smr.schedule, "adaptive");
   EXPECT_EQ(cfg.smr.drain_min, 2u);
   EXPECT_EQ(cfg.smr.drain_max, 128u);
   EXPECT_EQ(cfg.smr.pool_cap, 4096u);

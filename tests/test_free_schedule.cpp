@@ -1,20 +1,22 @@
 // FreeSchedule layer suite: the fixed policy mirrors the config, the
 // adaptive controller tracks backlog/population and clamps its quantum,
-// nonsensical knob values fail fast naming the knob, EMR_SCHEDULE-style
-// overrides govern any factory name, the pooling cap flows through the
-// policy, the churn-aware departure drain never frees more than the
-// quota in one op (the adoption-spike regression), and the daemon's
-// drain leaves the pooling stock in place. The *Concurrent*
-// case races lane-stats readers against live lanes — ci/check.sh runs
-// it under TSAN.
+// nonsensical knob values fail fast naming the knob, every factory name
+// builds the executor, schedule and routing its ReclaimerSpec names,
+// the pooling cap flows through the policy, the churn-aware departure
+// drain never frees more than the quota in one op (the adoption-spike
+// regression), and the daemon's drain leaves the pooling stock in
+// place. The *Concurrent* case races lane-stats readers against live
+// lanes — ci/check.sh runs it under TSAN.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "smr/factory.hpp"
+#include "smr/free_executor.hpp"
 #include "smr/free_schedule.hpp"
 #include "tests/tracking_allocator.hpp"
 
@@ -91,14 +93,6 @@ TEST(FreeSchedule, NonsenseFailsFastNamingTheKnob) {
     EXPECT_NE(std::string(e.what()).find("EMR_DRAIN_MAX"),
               std::string::npos);
   }
-  cfg = {};
-  cfg.schedule = "bogus";
-  try {
-    smr::make_free_schedule(smr::ScheduleKind::kFixed, cfg);
-    FAIL() << "unknown schedule name must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("adaptive"), std::string::npos);
-  }
 }
 
 TEST(FreeSchedule, AdaptiveQuotaTracksBacklogAndClamps) {
@@ -171,14 +165,40 @@ TEST(FreeSchedule, AdaptiveThresholdProratesWithPopulation) {
 
 // ------------------------------------------------------ factory wiring
 
+// Every name round-trips through its spec, and the spec alone decides
+// the bundle: executor class, schedule and routing.
 TEST(FreeSchedule, SuffixSelectsThePolicy) {
-  World fixed("debra_af", small_config());
-  EXPECT_STREQ(fixed.bundle.schedule->name(), "fixed");
+  for (const std::string& name : smr::all_factory_names()) {
+    SCOPED_TRACE(name);
+    const smr::ReclaimerSpec spec = smr::parse_reclaimer(name);
+    EXPECT_EQ(smr::reclaimer_name(spec), name);
+    World w(name, small_config());
+    const std::type_info& executor =
+        spec.form == smr::FreeForm::kBatch  ? typeid(smr::BatchFreeExecutor)
+        : spec.form == smr::FreeForm::kPool ? typeid(smr::PoolingFreeExecutor)
+                                            : typeid(smr::FreeExecutor);
+    EXPECT_STREQ(typeid(w.r().executor()).name(), executor.name());
+    EXPECT_STREQ(w.bundle.schedule->name(),
+                 spec.form == smr::FreeForm::kAdaptive ? "adaptive"
+                                                       : "fixed");
+    EXPECT_EQ(w.r().executor().home_flush(), spec.home_flush);
+  }
   World adaptive("debra_adaptive", small_config());
-  EXPECT_STREQ(adaptive.bundle.schedule->name(), "adaptive");
   EXPECT_STREQ(adaptive.r().name(), "debra");
   World token_adaptive("token_adaptive", small_config());
   EXPECT_STREQ(token_adaptive.r().name(), "token_adaptive");
+
+  TrackingAllocator allocator;
+  smr::SmrContext ctx;
+  ctx.allocator = &allocator;
+  for (const char* bad :
+       {"", "_af", "debras", "debra_hf_af", "debra_af_af", "hp_latency",
+        "token_naive_af", "token_passfirst_hf"}) {
+    EXPECT_THROW(smr::parse_reclaimer(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(smr::make_reclaimer(bad, ctx, small_config()),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
@@ -188,32 +208,6 @@ TEST(FreeSchedule, LatencyNamesInTheFactoryGrammar) {
   EXPECT_EQ(names.size(), 90u);
   for (const std::string& n : names) {
     EXPECT_EQ(n.find("_latency"), std::string::npos) << n;
-  }
-}
-
-TEST(FreeSchedule, ScheduleOverrideGovernsAnyName) {
-  smr::SmrConfig cfg = small_config();
-  cfg.schedule = "adaptive";
-  World batch_adaptive("debra", cfg);  // batch executor, adaptive policy
-  EXPECT_STREQ(batch_adaptive.bundle.schedule->name(), "adaptive");
-
-  cfg.schedule = "fixed";
-  World pinned("hp_adaptive", cfg);  // the override beats the suffix
-  EXPECT_STREQ(pinned.bundle.schedule->name(), "fixed");
-
-  TrackingAllocator allocator;
-  smr::SmrContext ctx;
-  ctx.allocator = &allocator;
-  for (const char* bad : {"latency", "bogus"}) {
-    cfg.schedule = bad;
-    try {
-      smr::make_reclaimer("debra", ctx, cfg);
-      FAIL() << "EMR_SCHEDULE=" << bad << " must throw";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("fixed adaptive"),
-                std::string::npos)
-          << e.what();
-    }
   }
 }
 
@@ -364,7 +358,8 @@ TEST(FreeSchedule, DaemonDrainKeepsThePoolStock) {
     const std::size_t freed = ex.daemon_drain(h.slot(), 1 << 20,
                                               daemon.slot());
     const std::uint64_t keep =
-        std::string(name).ends_with("_pool") ? kPoolCap : 0;
+        smr::parse_reclaimer(name).form == smr::FreeForm::kPool ? kPoolCap
+                                                                 : 0;
     EXPECT_EQ(ex.lane_stats(h.slot()).backlog, keep);
     EXPECT_EQ(freed, before - keep);
 

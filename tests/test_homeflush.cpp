@@ -1,12 +1,12 @@
 // Home-flush routing suite (docs/FREE_SCHEDULES.md): the _hf factory
-// grammar and the EMR_HOME_FLUSH override, the flush_quota policies,
-// routed frees landing on the owner's stash and flushing locally with
-// an exact stashed/flushed ledger on the tracking allocator, departure
-// splicing a live stash into the lane's backlog, the daemon adopting a
-// vacant lane's stash, and teardown stranding nothing across every
-// scheme family. The *Concurrent* case races many producers pushing one
-// owner's MPSC stash against the owner flushing it — ci/check.sh runs
-// it under TSAN.
+// grammar, the flush_quota policies, routed frees landing on the
+// owner's stash and flushing locally with an exact stashed/flushed
+// ledger on the tracking allocator, departure splicing a live stash
+// into the lane's backlog, the daemon adopting a vacant lane's stash
+// without clocking its frees into the lane's cost estimate, and
+// teardown stranding nothing across every scheme family. The
+// *Concurrent* case races many producers pushing one owner's MPSC
+// stash against the owner flushing it — ci/check.sh runs it under TSAN.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,10 +52,10 @@ smr::SmrConfig small_config(std::size_t batch = 8, std::size_t drain = 4) {
 // ------------------------------------------------------ factory grammar
 
 TEST(HomeFlush, HfNamesInTheFactoryGrammar) {
-  EXPECT_EQ(smr::reclaimer_base_name("hp_hf"), "hp");
-  EXPECT_EQ(smr::reclaimer_base_name("hp_af_hf"), "hp");
-  EXPECT_EQ(smr::reclaimer_base_name("debra_pool_hf"), "debra");
-  EXPECT_EQ(smr::reclaimer_base_name("token_adaptive_hf"), "token");
+  EXPECT_EQ(smr::parse_reclaimer("hp_hf").scheme, "hp");
+  EXPECT_EQ(smr::parse_reclaimer("hp_af_hf").scheme, "hp");
+  EXPECT_EQ(smr::parse_reclaimer("debra_pool_hf").scheme, "debra");
+  EXPECT_EQ(smr::parse_reclaimer("token_adaptive_hf").scheme, "token");
   const std::vector<std::string> names = smr::all_factory_names();
   // 2 fixed token variants + 11 suffixable bases x (4 forms + their 4
   // _hf twins).
@@ -74,7 +74,7 @@ TEST(HomeFlush, HfNamesInTheFactoryGrammar) {
   EXPECT_FALSE(has("token_passfirst_hf"));
 }
 
-TEST(HomeFlush, HfSuffixArmsRoutingAndOverrideWins) {
+TEST(HomeFlush, HfSuffixArmsRouting) {
   World off("debra_af", small_config());
   EXPECT_FALSE(off.ex().home_flush());
   World on("debra_af_hf", small_config());
@@ -85,29 +85,9 @@ TEST(HomeFlush, HfSuffixArmsRoutingAndOverrideWins) {
   EXPECT_TRUE(adaptive.ex().home_flush());
   EXPECT_STREQ(adaptive.bundle.schedule->name(), "adaptive");
 
-  smr::SmrConfig forced_on = small_config();
-  forced_on.home_flush = "on";
-  World forced("debra_af", forced_on);
-  EXPECT_TRUE(forced.ex().home_flush());
-
-  smr::SmrConfig forced_off = small_config();
-  forced_off.home_flush = "off";
-  World muted("debra_af_hf", forced_off);
-  EXPECT_FALSE(muted.ex().home_flush());
-
-  smr::SmrConfig bad = small_config();
-  bad.home_flush = "maybe";
   TrackingAllocator allocator;
   smr::SmrContext ctx;
   ctx.allocator = &allocator;
-  try {
-    smr::make_reclaimer("debra_af", ctx, bad);
-    FAIL() << "invalid home_flush value must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("EMR_HOME_FLUSH"),
-              std::string::npos)
-        << e.what();
-  }
   EXPECT_THROW(smr::make_reclaimer("token_naive_hf", ctx, small_config()),
                std::invalid_argument);
 }
@@ -298,6 +278,50 @@ TEST(HomeFlush, DaemonAdoptsVacantLaneStash) {
   EXPECT_EQ(w.ex().total_stash_backlog(), 0u)
       << "the daemon sweep must adopt a vacant lane's stash";
   daemon.stop();
+  w.r().flush_all();
+  EXPECT_EQ(w.ex().total_stashed(), w.ex().total_flushed());
+  EXPECT_EQ(w.allocator.live(), 0u);
+}
+
+// The daemon flushes a lane's stash on its own thread, so those frees
+// must stay out of the lane's ns-per-free estimate, which caps the
+// lane's adaptive quantum: only the owner's drains and flushes are
+// clocked.
+TEST(HomeFlush, DaemonStashFlushIsNotClocked) {
+  World w("debra_adaptive_hf", small_config(/*batch=*/4, /*drain=*/2));
+  w.ex().set_daemon_hooked(true);
+  smr::ThreadHandle a = w.r().register_thread();
+  smr::ThreadHandle b = w.r().register_thread();
+  smr::ThreadHandle daemon = w.r().register_thread();
+  constexpr std::uint64_t kBlocks = 64;
+  std::vector<void*> blocks;
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    blocks.push_back(w.r().alloc_node(a, 64));
+  }
+  for (void* p : blocks) {
+    smr::Guard g(b);
+    g.retire(p);
+  }
+  // b's drains route a's blocks home; a runs no op, so they stay put.
+  for (int i = 0;
+       i < 2000 && w.ex().lane_stats(a.slot()).stash_backlog < kBlocks;
+       ++i) {
+    smr::Guard g(b);
+  }
+  ASSERT_EQ(w.ex().lane_stats(a.slot()).stash_backlog, kBlocks)
+      << "precondition: every block waits in a's stash";
+
+  { smr::Guard g(a); }  // the owner's flush is clocked
+  const smr::LaneStats owned = w.ex().lane_stats(a.slot());
+  EXPECT_GT(owned.timed_drained, 0u);
+  ASSERT_GT(owned.stash_backlog, 0u);
+
+  EXPECT_EQ(w.ex().daemon_drain(a.slot(), 1 << 20, daemon.slot()),
+            owned.stash_backlog);
+  const smr::LaneStats after = w.ex().lane_stats(a.slot());
+  EXPECT_EQ(after.stash_backlog, 0u);
+  EXPECT_EQ(after.timed_drained, owned.timed_drained);
+  EXPECT_EQ(after.drain_ns, owned.drain_ns);
   w.r().flush_all();
   EXPECT_EQ(w.ex().total_stashed(), w.ex().total_flushed());
   EXPECT_EQ(w.allocator.live(), 0u);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "harness/report.hpp"
+#include "smr/factory.hpp"
 
 namespace {
 
@@ -464,8 +465,7 @@ TEST(Report, CommittedHomeflushSnapshotParses) {
     // stashed and flushed every rerouted block (nothing stranded at
     // teardown), control rows never touched the routing layer.
     const std::string& reclaimer = find("reclaimer")->str;
-    const bool hf = reclaimer.size() > 3 &&
-                    reclaimer.compare(reclaimer.size() - 3, 3, "_hf") == 0;
+    const bool hf = emr::smr::parse_reclaimer(reclaimer).home_flush;
     EXPECT_DOUBLE_EQ(find("stash_backlog_end")->num, 0) << reclaimer;
     EXPECT_DOUBLE_EQ(find("stashed")->num, find("flushed")->num)
         << reclaimer;
