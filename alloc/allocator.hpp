@@ -22,11 +22,7 @@ struct AllocConfig {
   /// Modelled cost of returning a block to a remote thread's arena
   /// (stands in for the paper's cross-socket cache-line transfer).
   std::uint64_t remote_free_penalty_ns = 0;
-  /// True when remote_free_penalty_ns was set explicitly (the
-  /// EMR_REMOTE_PENALTY_NS knob, or a bench sweeping the penalty
-  /// directly). The harness's startup calibration only substitutes its
-  /// measured cache-line-transfer cost when this is false — an explicit
-  /// knob always wins (core/calibration.hpp).
+  /// Read by nothing; kept only because emrbench/emr_bench.cpp assigns it.
   bool remote_penalty_explicit = false;
   /// Footnote-3 ablation: overflow blocks drain to the central bin a few
   /// at a time on later frees instead of in one locked burst.

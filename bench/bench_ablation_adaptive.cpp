@@ -54,12 +54,9 @@ harness::TrialConfig smoke_config(const std::string& reclaimer) {
   cfg.smr.epoch_freq = 32;
   // The batch pathology runs through the remote-free cost (section
   // 3.2): without it, a 2048-node burst is nearly free and the
-  // schedule ordering drowns in trial noise. Same stand-in value the
-  // bench defaults use.
+  // schedule ordering drowns in trial noise. The schedule-ordering
+  // gate is tuned to this penalty.
   cfg.alloc.remote_free_penalty_ns = 300;
-  // The schedule-ordering gate is tuned to this penalty: keep startup
-  // calibration from substituting the host's measured value.
-  cfg.alloc.remote_penalty_explicit = true;
   cfg.enable_garbage = true;
   cfg.enable_schedule_trace = true;
   return cfg;
@@ -141,9 +138,7 @@ int main(int argc, char** argv) {
           smr::reclaimer_name(
               {spec.scheme, smr::FreeForm::kBatch, spec.home_flush}));
 
-  std::vector<int> churn_sweep = env_int_list("EMR_CHURN_SWEEP");
-  if (churn_sweep.empty()) churn_sweep = {20};
-  churn_sweep.insert(churn_sweep.begin(), 0);
+  const std::vector<int> churn_sweep = harness::churn_sweep_from_env({20});
 
   harness::Table table({"threads", "churn_ms", "reclaimer", "schedule",
                         "Mops/s", "peak_garbage", "peak_backlog",

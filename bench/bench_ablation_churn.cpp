@@ -30,8 +30,9 @@ namespace {
 int run_smoke() {
   bool ok = true;
   for (const std::string& base : smr::experiment2_reclaimers()) {
-    for (const std::string& suffix : {std::string(), std::string("_af")}) {
-      const std::string name = base + suffix;
+    for (const smr::FreeForm form :
+         {smr::FreeForm::kBatch, smr::FreeForm::kAf}) {
+      const std::string name = smr::reclaimer_name({base, form});
       harness::TrialConfig cfg;
       cfg.ds = "dgt";
       cfg.reclaimer = name;
@@ -71,11 +72,7 @@ int main(int argc, char** argv) {
       "beyond the paper: batch-free harm under a dynamic population",
       describe(base));
 
-  // env_int_list drops non-positive tokens, so the no-churn baseline is
-  // prepended here rather than spelled in EMR_CHURN_SWEEP.
-  std::vector<int> sweep = env_int_list("EMR_CHURN_SWEEP");
-  if (sweep.empty()) sweep = {50, 20, 10};
-  sweep.insert(sweep.begin(), 0);
+  const std::vector<int> sweep = harness::churn_sweep_from_env({50, 20, 10});
 
   const char* kReclaimers[] = {"debra", "debra_af", "token", "token_af",
                                "hp",    "hp_af",    "ibr",   "ibr_af",

@@ -24,12 +24,10 @@
 //   EMR_EPOCH_FREQ - era-clock advance rate (he/ibr/wfe/nbr)
 //   EMR_ALLOC    - je | tc | mi | system | je_model | tc_model | mi_model
 //                  (docs/ALLOCATORS.md)
-//   EMR_REMOTE_PENALTY_NS - modelled cross-socket free penalty; setting
-//                  it pins the value, overriding startup calibration
-//   EMR_CALIBRATE - on | off: replace the default penalty with the
-//                  measured cache-line transfer cost (docs/ALLOCATORS.md)
-//   EMR_PIN      - off | compact | scatter CPU pinning for workers,
-//                  the reclaimer daemon, and calibration threads
+//   EMR_REMOTE_PENALTY_NS - modelled cross-socket free penalty in ns
+//                  (>= 0); every trial charges exactly this value
+//   EMR_PIN      - off | compact | scatter CPU pinning for workers and
+//                  the reclaimer daemon
 //   EMR_TSC      - 1 (default) = use the invariant-TSC clock when the
 //                  CPU advertises one; 0 = always clock_gettime
 //   EMR_CHURN_MS - thread-churn interval: a worker deregisters and a
@@ -123,17 +121,16 @@ inline void maybe_write_json(const harness::Table& table,
   }
 }
 
-/// The calibrated tail cell the latency, queue and homeflush smokes
-/// share: 8 workers on the modeled jemalloc for 150 ms, latency
-/// recorded. The tail gap runs through the modeled remote-free cost: a
-/// sealed 128-node bag freed whole inside one op crosses the 32-slot
-/// tcache four times, paying ~batch x penalty (~64 us) in that op, while
-/// an _af op never pays more than one 16-block flush (~8 us). Batch 128
-/// keeps drains frequent enough to sit above the p99.9 rank. The gates
-/// are tuned to this exact penalty, so startup calibration must not
-/// substitute the host's measured cache-line cost. The permissive
-/// drain_max leaves the _adaptive quantum to its controller (backlog
-/// horizon, ns-per-free cap), not the default ceiling.
+/// The tail cell the latency, queue and homeflush smokes share: 8
+/// workers on the modeled jemalloc for 150 ms, latency recorded. The
+/// tail gap runs through the modeled remote-free cost: a sealed 128-node
+/// bag freed whole inside one op crosses the 32-slot tcache four times,
+/// paying ~batch x penalty (~64 us) in that op, while an _af op never
+/// pays more than one 16-block flush (~8 us). Batch 128 keeps drains
+/// frequent enough to sit above the p99.9 rank, and the gates are tuned
+/// to the 500 ns penalty. The permissive drain_max leaves the _adaptive
+/// quantum to its controller (backlog horizon, ns-per-free cap), not the
+/// default ceiling.
 inline harness::TrialConfig tail_cell_config(const std::string& reclaimer) {
   harness::TrialConfig cfg;
   cfg.reclaimer = reclaimer;
@@ -145,7 +142,6 @@ inline harness::TrialConfig tail_cell_config(const std::string& reclaimer) {
   cfg.smr.epoch_freq = 32;
   cfg.alloc.tcache_cap = 32;
   cfg.alloc.remote_free_penalty_ns = 500;
-  cfg.alloc.remote_penalty_explicit = true;
   cfg.smr.drain_max = 256;
   return cfg;
 }

@@ -17,10 +17,10 @@
 //                    with --smoke, `--json BENCH_fig_homeflush.json` from
 //                    the repo root refreshes the committed snapshot
 //
-// `bench_fig_homeflush --smoke` runs calibrated 4+4 pipeline cells
-// (scatter pin, modeled jemalloc, explicit 500 ns remote penalty) and
-// fails unless, aggregated over two seeds: (a) every run progresses,
-// accounts exactly, and — for _hf cells — the stash ledger balances
+// `bench_fig_homeflush --smoke` runs 4+4 pipeline cells (scatter pin,
+// modeled jemalloc, 500 ns remote penalty) and fails unless,
+// aggregated over two seeds: (a) every run progresses, accounts
+// exactly, and — for _hf cells — the stash ledger balances
 // (stashed == flushed, zero backlog at teardown) while non-hf cells
 // never touch a stash, (b) routing collapses the remote-free share
 // (hp_af >= 0.9 foreign, hp_af_hf <= 0.25), and (c) the _hf dequeue

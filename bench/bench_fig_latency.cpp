@@ -13,8 +13,8 @@
 //                   with --smoke, `--json BENCH_fig_latency.json` from
 //                   the repo root refreshes the committed snapshot
 //
-// `bench_fig_latency --smoke` runs a calibrated 8-thread cell on the
-// modeled jemalloc (small tcache + remote-free penalty, so one
+// `bench_fig_latency --smoke` runs an 8-thread cell on the modeled
+// jemalloc (small tcache + 500 ns remote-free penalty, so one
 // whole-bag drain costs ~batch x penalty while an _af op never frees
 // more than one flush burst) and fails unless, aggregated over two
 // seeds: (a) every run progresses and accounts exactly, and (b)

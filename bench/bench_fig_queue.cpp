@@ -7,7 +7,7 @@
 // consumers on the other and every dequeued node is freed by a thread
 // that never allocates — the consumer tcaches overflow continuously and
 // each flush returns foreign blocks to their owners' arenas at the
-// measured remote-free cost. This sweep puts the two layouts side by
+// modeled remote-free cost. This sweep puts the two layouts side by
 // side for one base reclaimer under the fixed batch schedule, `_af`
 // and `_adaptive`, reporting per-op-kind tails (enqueue and
 // dequeue separately — batch drains ride the dequeue path, where retire
@@ -21,14 +21,15 @@
 //                    with --smoke, `--json BENCH_fig_queue.json` from
 //                    the repo root refreshes the committed snapshot
 //
-// `bench_fig_queue --smoke` runs calibrated 8-thread cells (4+4 split
-// in the asymmetric layout) on the modeled jemalloc and fails unless,
-// aggregated over two seeds: (a) every run progresses and accounts
-// exactly, (b) the asymmetric layout charges a higher remote-free
-// share than the symmetric one, and (c) in the asymmetric layout the
-// fixed-batch dequeue p99.9 is >= 2x the _af dequeue p99.9 while their
-// mops stay comparable — the same invisible-harm shape as
-// bench_fig_latency, now driven by the role split.
+// `bench_fig_queue --smoke` runs 8-thread cells (4+4 split in the
+// asymmetric layout) on the modeled jemalloc at a 500 ns remote-free
+// penalty and fails unless, aggregated over two seeds: (a) every run
+// progresses and accounts exactly, (b) the asymmetric layout charges a
+// higher remote-free share than the symmetric one, and (c) in the
+// asymmetric layout the fixed-batch dequeue p99.9 is >= 2x the _af
+// dequeue p99.9 while their mops stay comparable — the same
+// invisible-harm shape as bench_fig_latency, now driven by the role
+// split.
 #include <cmath>
 #include <cstring>
 #include <iterator>

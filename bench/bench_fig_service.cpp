@@ -131,10 +131,8 @@ harness::TrialConfig smoke_base() {
   cfg.keyrange = 4096;
   cfg.measure_ms = 150;
   cfg.smr.batch_size = 128;
+  // Zero is deliberate: the smoke isolates queueing effects.
   cfg.alloc.remote_free_penalty_ns = 0;
-  // Zero is deliberate (the smoke isolates queueing effects): keep
-  // startup calibration from substituting a measured penalty.
-  cfg.alloc.remote_penalty_explicit = true;
   cfg.enable_latency = true;
   return cfg;
 }

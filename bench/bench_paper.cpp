@@ -596,8 +596,6 @@ std::vector<Figure> figures() {
            {0, 50, 150, 500, 2000},
            [](TrialConfig& c, std::uint64_t ns) {
              c.alloc.remote_free_penalty_ns = ns;
-             // The sweep is the penalty: calibration must not replace it.
-             c.alloc.remote_penalty_explicit = true;
            })},
        .threads = Threads::kMax, .pair = true, .single = true,
        .note = "expected: the AF advantage grows with the remote-free cost - "
@@ -708,7 +706,9 @@ Outcome run_figure(const Figure& f, TrialConfig base,
     Row row{cfg, {measure(f, cfg, csvs)}};
     if (f.pair) {
       TrialConfig af = cfg;
-      af.reclaimer += "_af";
+      smr::ReclaimerSpec spec = smr::parse_reclaimer(cfg.reclaimer);
+      spec.form = smr::FreeForm::kAf;
+      af.reclaimer = smr::reclaimer_name(spec);
       row.runs.push_back(measure(f, af, csvs));
     }
     for (const Result& r : row.runs) {

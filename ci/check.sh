@@ -57,8 +57,8 @@ step micro-alloc "$BUILD_DIR/bench_micro_alloc" --smoke
 # Determinism gate: with EMR_PIN=off and model allocators under a fixed
 # seed, the counter-only smoke output must be bit-identical run to run
 # (and hence identical to the pre-hardware-realism harness — neither
-# pinning defaults, calibration on a box where it can't measure, nor
-# the TSC clock may leak into the modelled counters).
+# pinning defaults nor the TSC clock may leak into the modelled
+# counters).
 determinism() {
   EMR_PIN=off EMR_SEED=42 "$BUILD_DIR/bench_micro_alloc" --smoke \
     > "$BUILD_DIR/det_a.txt" || return 1
@@ -152,13 +152,17 @@ latency_gate() {
 step latency-gate latency_gate
 
 # Name grammar (smr/factory.hpp): a reclaimer name is parsed only by
-# smr::parse_reclaimer; everything else asks its ReclaimerSpec instead
-# of testing for a form or `_hf` suffix by hand.
+# smr::parse_reclaimer and spelled only by smr::reclaimer_name;
+# everything else asks its ReclaimerSpec instead of testing for, or
+# appending, a form or `_hf` suffix by hand.
 grammar_gate() {
-  if grep -rnE '(ends_with|compare|strstr|find)\([^;]*"_(af|hf|pool|adaptive)"' \
+  if grep -rnE \
+      -e '(ends_with|compare|strstr|find)\([^;]*"_(af|hf|pool|adaptive)"' \
+      -e '(\+=?\s*|std::string\()"_(af|hf|pool|adaptive)"' \
       smr harness bench tests | grep -v '^smr/factory\.cpp:'; then
-    echo "ci/check.sh: reclaimer-name suffix tested by hand —" \
-         "use smr::parse_reclaimer (smr/factory.hpp)" >&2
+    echo "ci/check.sh: reclaimer-name suffix tested or appended by hand —" \
+         "use smr::parse_reclaimer / smr::reclaimer_name" \
+         "(smr/factory.hpp)" >&2
     return 1
   fi
 }

@@ -1,8 +1,8 @@
-// CPU affinity pinning for the harness (EMR_PIN): workers, the reclaimer
-// daemon, and the calibration threads pin themselves before measurement
-// so a trial's threads stop migrating mid-window (the ryuxin ps benches
-// pin every thread via thd_set_affinity; unpinned, the scheduler can
-// shuffle workers across sockets and smear the remote-free story).
+// CPU affinity pinning for the harness (EMR_PIN): workers and the
+// reclaimer daemon pin themselves before measurement so a trial's
+// threads stop migrating mid-window (the ryuxin ps benches pin every
+// thread via thd_set_affinity; unpinned, the scheduler can shuffle
+// workers across sockets and smear the remote-free story).
 //
 // Layouts over the CPUs this process is allowed to run on
 // (sched_getaffinity order):

@@ -42,33 +42,11 @@ inline double env_f64(const char* name, double def) {
 }
 
 /// Parses a whitespace- or comma-separated list of positive integers,
-/// e.g. EMR_THREADS="1 2 4" or "6,12,24". Malformed tokens are skipped;
-/// an unset/empty/fully-malformed variable yields an empty vector.
-inline std::vector<int> env_int_list(const char* name) {
-  std::vector<int> out;
-  const char* v = std::getenv(name);
-  if (v == nullptr) return out;
-  const char* p = v;
-  while (*p != '\0') {
-    while (*p == ' ' || *p == ',' || *p == '\t') ++p;
-    if (*p == '\0') break;
-    char* end = nullptr;
-    const long parsed = std::strtol(p, &end, 10);
-    if (end == p) {
-      ++p;  // skip one malformed char and resync
-      continue;
-    }
-    if (parsed > 0) out.push_back(static_cast<int>(parsed));
-    p = end;
-  }
-  return out;
-}
-
-/// Strict variant of env_int_list for knobs where a malformed token
-/// must not be silently dropped (EMR_THREADS): same separators, but any
-/// token that is not a positive integer fails the whole parse, with the
-/// offending token copied into `bad_token`. Returns true on success;
-/// an unset or empty variable succeeds with an empty `out`.
+/// e.g. EMR_THREADS="1 2 4" or "6,12,24". Any token that is not a
+/// positive integer fails the whole parse, with the offending token
+/// copied into `bad_token`, so a typo never silently drops a sweep
+/// point. Returns true on success; an unset or empty variable succeeds
+/// with an empty `out`.
 inline bool env_int_list_strict(const char* name, std::vector<int>* out,
                                 std::string* bad_token) {
   out->clear();

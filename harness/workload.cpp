@@ -12,7 +12,6 @@
 
 #include "alloc/factory.hpp"
 #include "core/affinity.hpp"
-#include "core/calibration.hpp"
 #include "core/env.hpp"
 #include "core/timing.hpp"
 #include "ds/queue.hpp"
@@ -115,11 +114,14 @@ void apply_env_overrides(TrialConfig& cfg) {
         env_u64("EMR_EPOCH_FREQ", cfg.smr.epoch_freq), 1));
   }
   if (env_has("EMR_REMOTE_PENALTY_NS")) {
-    cfg.alloc.remote_free_penalty_ns =
-        env_u64("EMR_REMOTE_PENALTY_NS", cfg.alloc.remote_free_penalty_ns);
-    // The explicit knob beats the startup calibration (Trial ctor only
-    // substitutes the measured transfer cost when this stays false).
-    cfg.alloc.remote_penalty_explicit = true;
+    const long long v = env_i64("EMR_REMOTE_PENALTY_NS", -1);
+    if (v < 0) {
+      throw std::invalid_argument(
+          "invalid EMR_REMOTE_PENALTY_NS: '" +
+          env_str("EMR_REMOTE_PENALTY_NS", "") +
+          "' (must be >= 0 ns, where 0 charges no remote-free cost)");
+    }
+    cfg.alloc.remote_free_penalty_ns = static_cast<std::uint64_t>(v);
   }
   if (env_has("EMR_TCACHE_CAP")) {
     cfg.alloc.tcache_cap = static_cast<std::size_t>(std::max<std::uint64_t>(
@@ -203,10 +205,6 @@ void apply_env_overrides(TrialConfig& cfg) {
     }
     cfg.queue_cap = static_cast<std::uint64_t>(v);
   }
-  if (env_has("EMR_CALIBRATE")) {
-    // Validity (on | off) is owned by validate_config.
-    cfg.calibrate = env_str("EMR_CALIBRATE", cfg.calibrate);
-  }
 }
 
 TrialConfig config_from_env() {
@@ -215,22 +213,37 @@ TrialConfig config_from_env() {
   return cfg;
 }
 
-std::vector<int> thread_sweep_from_env(std::vector<int> def) {
+namespace {
+
+/// The list in `name`, or `def` when it is unset, empty or malformed.
+std::vector<int> sweep_from_env(const char* name, std::vector<int> def) {
   std::vector<int> parsed;
   std::string bad;
-  if (!env_int_list_strict("EMR_THREADS", &parsed, &bad)) {
-    // Never shrink a sweep silently: a typo'd EMR_THREADS would
-    // otherwise drop columns (or empty the sweep entirely) and the
-    // bench would "pass" on the wrong experiment.
+  if (!env_int_list_strict(name, &parsed, &bad)) {
+    // Never shrink a sweep silently: a typo'd list would otherwise
+    // drop columns (or empty the sweep entirely) and the bench would
+    // "pass" on the wrong experiment.
     std::fprintf(stderr,
-                 "harness: malformed EMR_THREADS token '%s'; "
+                 "harness: malformed %s token '%s'; "
                  "ignoring the variable and running the default sweep\n",
-                 bad.c_str());
+                 name, bad.c_str());
     return def;
   }
-  if (parsed.empty()) return def;  // unset or empty
-  for (int& n : parsed) n = std::clamp(n, 1, 1024);
-  return parsed;
+  return parsed.empty() ? def : parsed;  // unset or empty
+}
+
+}  // namespace
+
+std::vector<int> thread_sweep_from_env(std::vector<int> def) {
+  std::vector<int> sweep = sweep_from_env("EMR_THREADS", std::move(def));
+  for (int& n : sweep) n = std::clamp(n, 1, 1024);
+  return sweep;
+}
+
+std::vector<int> churn_sweep_from_env(std::vector<int> def) {
+  std::vector<int> sweep = sweep_from_env("EMR_CHURN_SWEEP", std::move(def));
+  sweep.insert(sweep.begin(), 0);
+  return sweep;
 }
 
 std::size_t node_size_for_ds(const std::string& ds) {
@@ -332,13 +345,6 @@ void validate_config(const TrialConfig& cfg) {
   smr::daemon_level_from_name(cfg.reclaimer_daemon);
   // Throws listing the valid layouts on an unknown name (EMR_PIN).
   affinity::pin_mode_from_name(cfg.pin);
-  if (cfg.calibrate != "on" && cfg.calibrate != "off") {
-    throw std::invalid_argument(
-        "unknown calibrate switch: '" + cfg.calibrate +
-        "' (EMR_CALIBRATE; valid: on off — whether the measured "
-        "cache-line transfer cost replaces the default remote-free "
-        "penalty)");
-  }
   if (cfg.arrival != "closed") {
     const double expected =
         cfg.rate_ops * static_cast<double>(cfg.measure_ms) / 1000.0;
@@ -504,19 +510,6 @@ Trial::Trial(const TrialConfig& cfg) : cfg_(cfg) {
   // covers the whole slot capacity (workers + churn/teardown headroom).
   alloc::AllocConfig acfg = cfg_.alloc;
   acfg.max_threads = static_cast<int>(scfg.slot_capacity());
-  // Measured remote cost: the startup ping-pong's one-way cache-line
-  // transfer latency replaces the configured default — unless the knob
-  // (or a bench sweep) set the penalty explicitly, or this machine has
-  // fewer than two CPUs to measure with (measured == false keeps the
-  // deterministic default).
-  if (cfg_.calibrate == "on" && !acfg.remote_penalty_explicit) {
-    const calibration::RemoteCost& rc = calibration::remote_cost();
-    if (rc.measured) {
-      acfg.remote_free_penalty_ns = rc.one_way_ns;
-      penalty_measured_ = true;
-    }
-  }
-  effective_penalty_ns_ = acfg.remote_free_penalty_ns;
   allocator_ = alloc::make_allocator(cfg_.allocator, acfg);
   // Pin layout for the trial's threads: workers take slots [0, nthreads),
   // the reclaimer daemon the one after (empty = run unpinned).
@@ -965,8 +958,7 @@ TrialResult Trial::run() {
     r.daemon_pressure_ticks = ds.pressure_ticks;
     r.daemon_drained = ds.drained;
   }
-  r.remote_penalty_ns = effective_penalty_ns_;
-  r.penalty_measured = penalty_measured_;
+  r.remote_penalty_ns = cfg_.alloc.remote_free_penalty_ns;
   r.clock_source = timing::clock_name();
   r.tsc_ghz = timing::tsc_ghz();
   r.pin_mode = cfg_.pin;

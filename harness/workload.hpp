@@ -87,13 +87,6 @@ struct TrialConfig {
   /// window opens, and the reclaimer daemon takes the slot after the
   /// workers'. EMR_PIN.
   std::string pin = "off";
-  /// "on" | "off": whether the startup cache-line ping-pong's measured
-  /// transfer cost replaces the configured remote-free penalty. Only
-  /// applies when the penalty was not set explicitly (the
-  /// EMR_REMOTE_PENALTY_NS knob always wins), and only when the machine
-  /// could measure (>= 2 allowed CPUs) — otherwise configured defaults
-  /// run untouched. EMR_CALIBRATE.
-  std::string calibrate = "on";
   // ---- pipeline workload (ds/queue.hpp) ----
   /// "set" runs the classic mixed insert/erase/lookup workload over a
   /// ConcurrentSet; "pipeline" drives a ConcurrentQueue (ds must name
@@ -132,14 +125,13 @@ void apply_env_overrides(TrialConfig& cfg);
 /// non-finite rate_ops, a negative zipf_s, an empty (or non-finite /
 /// non-positive) phase list, a daemon_period_ms < 1, and an open-loop
 /// schedule whose expected event count exceeds core/arrival.hpp's
-/// kMaxArrivals all throw naming the valid range, as do a pin layout
-/// outside off|compact|scatter (EMR_PIN) and a calibrate switch outside
-/// on|off (EMR_CALIBRATE). The pipeline knobs are policed the same way:
-/// a workload outside set|pipeline (EMR_WORKLOAD), producers or a queue
-/// capacity set on the set workload, a pipeline ds that is not a queue
-/// name, producers outside [0, nthreads), and a pipeline trial that is
-/// not closed-loop all throw naming the valid choices/ranges. Trial's
-/// constructor runs this on every config.
+/// kMaxArrivals all throw naming the valid range, as does a pin layout
+/// outside off|compact|scatter (EMR_PIN). The pipeline knobs are
+/// policed the same way: a workload outside set|pipeline (EMR_WORKLOAD),
+/// producers or a queue capacity set on the set workload, a pipeline ds
+/// that is not a queue name, producers outside [0, nthreads), and a
+/// pipeline trial that is not closed-loop all throw naming the valid
+/// choices/ranges. Trial's constructor runs this on every config.
 void validate_config(const TrialConfig& cfg);
 
 /// The arrival schedule an open-loop trial of `cfg` serves: Trial::run
@@ -155,6 +147,12 @@ TrialConfig config_from_env();
 /// sweep silently: the whole variable is rejected with a warning to
 /// stderr naming the bad token, and `def` runs instead.
 std::vector<int> thread_sweep_from_env(std::vector<int> def);
+
+/// The churn intervals (ms) of EMR_CHURN_SWEEP ("50 20 10"), or `def`
+/// when unset or empty, always led by the no-churn baseline 0. A
+/// malformed token ("2O", "0", "-5") rejects the whole variable the way
+/// thread_sweep_from_env does, and `def` runs instead.
+std::vector<int> churn_sweep_from_env(std::vector<int> def);
 
 /// Node size in bytes per data structure, derived from sizeof the real
 /// node types in ds/ (abtree leaves are the paper's fat ~240 B nodes;
@@ -293,14 +291,13 @@ struct TrialResult {
   std::uint64_t daemon_quiet_ticks = 0;
   std::uint64_t daemon_pressure_ticks = 0;
   std::uint64_t daemon_drained = 0;
-  /// Hardware-calibration and affinity metadata (docs/ALLOCATORS.md):
-  /// the remote-free penalty the trial actually charged, whether it came
-  /// from the startup ping-pong (vs a knob/default), the clock source
-  /// behind every timestamp ("tsc" | "steady") with the calibrated TSC
-  /// frequency (0 on the fallback), the pin layout, and the worker ->
-  /// CPU map (empty when unpinned; the last entry is the daemon's slot).
+  /// Hardware-realism metadata (docs/ALLOCATORS.md): the remote-free
+  /// penalty the trial charged (the config's remote_free_penalty_ns),
+  /// the clock source behind every timestamp ("tsc" | "steady") with the
+  /// calibrated TSC frequency (0 on the fallback), the pin layout, and
+  /// the worker -> CPU map (empty when unpinned; the last entry is the
+  /// daemon's slot).
   std::uint64_t remote_penalty_ns = 0;
-  bool penalty_measured = false;
   std::string clock_source = "steady";
   double tsc_ghz = 0;
   std::string pin_mode = "off";
@@ -398,10 +395,8 @@ class Trial {
   std::unique_ptr<smr::ReclaimerDaemon> daemon_;
   // Resolved at construction: worker i pins to pin_map_[i] (empty when
   // EMR_PIN=off or no CPUs are visible; the extra last entry is the
-  // daemon's), and the penalty the allocator was actually built with.
+  // daemon's).
   std::vector<int> pin_map_;
-  std::uint64_t effective_penalty_ns_ = 0;
-  bool penalty_measured_ = false;
   bool ran_ = false;
 };
 

@@ -99,6 +99,26 @@ TEST(Env, ThreadListRejectsMalformedTokensWholesale) {
             (std::vector<int>{2, 4, 8}));
 }
 
+TEST(Env, ChurnSweepRejectsMalformedTokensWholesale) {
+  // A typo must not shrink the sweep: "50 2O 10" is one bad token, not
+  // the churn intervals {50, 2, 10}.
+  EnvGuard env;
+  env.unset("EMR_CHURN_SWEEP");
+  EXPECT_EQ(harness::churn_sweep_from_env({50, 20, 10}),
+            (std::vector<int>{0, 50, 20, 10}));
+
+  env.set("EMR_CHURN_SWEEP", "40,5");
+  EXPECT_EQ(harness::churn_sweep_from_env({20}),
+            (std::vector<int>{0, 40, 5}));
+
+  env.set("EMR_CHURN_SWEEP", "50 2O 10");
+  testing::internal::CaptureStderr();
+  const std::vector<int> sweep = harness::churn_sweep_from_env({50, 20, 10});
+  const std::string warning = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(sweep, (std::vector<int>{0, 50, 20, 10}));
+  EXPECT_NE(warning.find("'2O'"), std::string::npos) << warning;
+}
+
 TEST(Env, IntListStrictReportsTheBadToken) {
   EnvGuard env;
   std::vector<int> out;
@@ -407,60 +427,62 @@ TEST(Env, PipelineKnobValidationNamesTheRange) {
   expect_naming(cfg, "closed-loop");
 }
 
-TEST(Env, PinAndCalibrateKnobsOverrideAndValidate) {
+TEST(Env, PinKnobOverridesAndValidates) {
   EnvGuard env;
   env.unset("EMR_PIN");
-  env.unset("EMR_CALIBRATE");
 
   harness::TrialConfig cfg;
   harness::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.pin, "off");       // silent env leaves defaults alone
-  EXPECT_EQ(cfg.calibrate, "on");
+  EXPECT_EQ(cfg.pin, "off");  // silent env leaves the default alone
 
   env.set("EMR_PIN", "compact");
-  env.set("EMR_CALIBRATE", "off");
   harness::apply_env_overrides(cfg);
   EXPECT_EQ(cfg.pin, "compact");
-  EXPECT_EQ(cfg.calibrate, "off");
   harness::validate_config(cfg);
 
   cfg.pin = "scatter";
   harness::validate_config(cfg);
 
-  // Malformed values fail fast in validate_config, naming the choices.
-  auto expect_naming = [](harness::TrialConfig bad, const char* needle) {
-    try {
-      harness::validate_config(bad);
-      FAIL() << "expected std::invalid_argument naming " << needle;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
+  // A malformed layout fails fast in validate_config, naming the
+  // choices.
   harness::TrialConfig bad;
   bad.pin = "numa";
-  expect_naming(bad, "off compact scatter");
-  bad = harness::TrialConfig();
-  bad.calibrate = "auto";
-  expect_naming(bad, "on off");
+  try {
+    harness::validate_config(bad);
+    FAIL() << "expected std::invalid_argument naming the layouts";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("off compact scatter"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
-TEST(Env, RemotePenaltyKnobMarksThePenaltyExplicit) {
-  // The knob must not just set the value: it flags the config so the
-  // harness's startup calibration never substitutes the measured
-  // cache-line cost for a penalty the user (or an ablation sweep)
-  // chose deliberately.
+TEST(Env, RemotePenaltyKnobRejectsMalformedValues) {
+  // The knob is the only source of the charged penalty, so a typo must
+  // fail fast naming it instead of running the caller's default.
   EnvGuard env;
-  env.unset("EMR_REMOTE_PENALTY_NS");
-
   harness::TrialConfig cfg;
+  cfg.alloc.remote_free_penalty_ns = 150;
+
+  env.set("EMR_REMOTE_PENALTY_NS", "0");
   harness::apply_env_overrides(cfg);
-  EXPECT_FALSE(cfg.alloc.remote_penalty_explicit);
+  EXPECT_EQ(cfg.alloc.remote_free_penalty_ns, 0u);
 
   env.set("EMR_REMOTE_PENALTY_NS", "275");
   harness::apply_env_overrides(cfg);
   EXPECT_EQ(cfg.alloc.remote_free_penalty_ns, 275u);
-  EXPECT_TRUE(cfg.alloc.remote_penalty_explicit);
+
+  for (const char* bad : {"abc", "-5"}) {
+    env.set("EMR_REMOTE_PENALTY_NS", bad);
+    try {
+      harness::apply_env_overrides(cfg);
+      FAIL() << "expected std::invalid_argument for '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("EMR_REMOTE_PENALTY_NS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Env, F64AndStr) {

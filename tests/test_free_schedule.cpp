@@ -373,7 +373,8 @@ TEST(FreeSchedule, DaemonDrainKeepsThePoolStock) {
 // exactly like their fixed siblings across every family.
 TEST(FreeSchedule, AdaptiveVariantsAccountExactly) {
   for (const std::string& base : smr::experiment2_reclaimers()) {
-    World w(base + "_adaptive", small_config());
+    World w(smr::reclaimer_name({base, smr::FreeForm::kAdaptive}),
+            small_config());
     smr::ThreadHandle h = w.r().register_thread();
     smr::ThreadHandle other = w.r().register_thread();
     for (int i = 0; i < 100; ++i) {

@@ -73,7 +73,7 @@ TEST(SmrAccounting, RetireFlushFreesExactlyOnce) {
 
 TEST(SmrAccounting, AfVariantsFlushEverything) {
   for (const std::string& base : smr::experiment2_reclaimers()) {
-    World w(base + "_af");
+    World w(smr::reclaimer_name({base, smr::FreeForm::kAf}));
     w.retire_nodes(0, 50);
     w.r().flush_all();
     const smr::SmrStats st = w.r().stats();
@@ -221,7 +221,7 @@ TEST(SmrFactory, EveryBenchNameConstructs) {
                                     "token_passfirst"};
   for (const std::string& base : smr::experiment2_reclaimers()) {
     names.push_back(base);
-    names.push_back(base + "_af");
+    names.push_back(smr::reclaimer_name({base, smr::FreeForm::kAf}));
   }
   names.push_back("debra_pool");
   names.push_back("token_pool");
