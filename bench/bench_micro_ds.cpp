@@ -63,16 +63,21 @@ struct DsWorld {
 };
 
 void BM_GuardedContains(benchmark::State& state, const char* ds_name,
-                        const char* reclaimer) {
-  DsWorld w(ds_name, reclaimer, 4096);
-  for (std::uint64_t k = 0; k < 4096; k += 2) w.set->insert(w.h(0), k);
+                        const char* reclaimer,
+                        std::uint64_t keyrange = 4096) {
+  DsWorld w(ds_name, reclaimer, keyrange);
+  for (std::uint64_t k = 0; k < keyrange; k += 2) w.set->insert(w.h(0), k);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(w.set->contains(w.h(0), rng.next_range(4096)));
+    benchmark::DoNotOptimize(
+        w.set->contains(w.h(0), rng.next_range(keyrange)));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_GuardedContains, abtree_debra, "abtree", "debra");
+// emrbench's abtree_readmostly key range: a depth-4 routing layer.
+BENCHMARK_CAPTURE(BM_GuardedContains, abtree_debra_131072keys, "abtree",
+                  "debra", std::uint64_t{1} << 17);
 BENCHMARK_CAPTURE(BM_GuardedContains, abtree_hp, "abtree", "hp");
 BENCHMARK_CAPTURE(BM_GuardedContains, occtree_debra, "occtree", "debra");
 BENCHMARK_CAPTURE(BM_GuardedContains, occtree_hp, "occtree", "hp");

@@ -1,5 +1,6 @@
 // google-benchmark micro suite for reclaimer primitives: begin/end op
-// overhead per algorithm and the retire-to-free pipeline cost.
+// overhead per algorithm, the retire-to-free pipeline cost, and guarded
+// ops on three threads that share one reclaimer.
 //
 // `bench_micro_smr --smoke` runs a correctness smoke instead: every
 // factory name (all bases x batch/_af/_pool schedules) is constructed
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc/factory.hpp"
@@ -29,15 +31,16 @@ struct MicroWorld {
   smr::ReclaimerBundle bundle;
   std::vector<smr::ThreadHandle> handles;
 
-  explicit MicroWorld(const std::string& name) {
-    cfg.num_threads = 2;
-    cfg.batch_size = 256;
+  explicit MicroWorld(const std::string& name, int threads = 2,
+                      std::size_t batch = 256) {
+    cfg.num_threads = threads;
+    cfg.batch_size = batch;
     alloc::AllocConfig acfg;
     acfg.max_threads = static_cast<int>(cfg.slot_capacity());
     allocator = alloc::make_allocator("je", acfg);
     ctx.allocator = allocator.get();
     bundle = smr::make_reclaimer(name, ctx, cfg);
-    // The single-threaded bench loops multiplex both lanes' handles.
+    // The single-threaded bench loops multiplex the lanes' handles.
     for (int t = 0; t < cfg.num_threads; ++t) {
       handles.push_back(bundle.reclaimer->register_thread());
     }
@@ -114,6 +117,48 @@ BENCHMARK_CAPTURE(BM_RetirePipeline, qsbr, "qsbr");
 BENCHMARK_CAPTURE(BM_RetirePipeline, ibr, "ibr");
 BENCHMARK_CAPTURE(BM_RetirePipeline, hp, "hp");
 BENCHMARK_CAPTURE(BM_RetirePipeline, nbr, "nbr");
+
+/// One guarded op that allocates and retires a 240 B node (an abtree
+/// leaf) on every `retire_every`-th call.
+void guarded_op(smr::Reclaimer& r, smr::ThreadHandle& h, std::uint64_t i,
+                std::uint64_t retire_every) {
+  smr::Guard g(h);
+  if (i % retire_every == 0) g.retire(r.alloc_node(h, 240));
+}
+
+/// Three threads run guarded ops on one bundle at the paper's batch of
+/// 2048, retiring every `retire_every` ops: 22 is abtree_readmostly's
+/// update rate, 2 abtree_batch's. The timed loop is one of the three;
+/// its two peers (spawned here, since the bundled stub runner has no
+/// ->Threads) run the same loop until it ends. Whatever an op end reads
+/// of the peers' cache lines shows up in the timed ns per op.
+void BM_ContendedGuards(benchmark::State& state, const char* name,
+                        std::uint64_t retire_every) {
+  constexpr int kThreads = 3;
+  MicroWorld w(name, kThreads, /*batch=*/2048);
+  smr::Reclaimer& r = *w.bundle.reclaimer;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> peers;
+  for (int t = 1; t < kThreads; ++t) {
+    peers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        guarded_op(r, w.h(t), i, retire_every);
+      }
+    });
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) guarded_op(r, w.h(0), i++, retire_every);
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& p : peers) p.join();
+  r.flush_all();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ContendedGuards, debra_retire_every22, "debra", 22);
+BENCHMARK_CAPTURE(BM_ContendedGuards, debra_retire_every2, "debra", 2);
+BENCHMARK_CAPTURE(BM_ContendedGuards, qsbr_retire_every22, "qsbr", 22);
+BENCHMARK_CAPTURE(BM_ContendedGuards, qsbr_retire_every2, "qsbr", 2);
+BENCHMARK_CAPTURE(BM_ContendedGuards, rcu_retire_every22, "rcu", 22);
+BENCHMARK_CAPTURE(BM_ContendedGuards, rcu_retire_every2, "rcu", 2);
 
 // --------------------------------------------------------------- smoke
 

@@ -3,8 +3,11 @@
 // default-looking value" (see EXPERIMENTS.md for the variable catalogue).
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,25 +23,53 @@ inline std::string env_str(const char* name, const std::string& def) {
   return v ? std::string(v) : def;
 }
 
-inline long long env_i64(const char* name, long long def) {
+/// Throws std::invalid_argument naming the variable, its value and the
+/// form it should take.
+[[noreturn]] inline void env_reject(const char* name, const char* value,
+                                    const char* expected) {
+  throw std::invalid_argument(std::string("invalid ") + name + ": '" +
+                              value + "' (expected " + expected + ")");
+}
+
+/// The numeric parsers accept only a whole token: leading blanks,
+/// trailing junk ("12x", "1e3" for an integer) or a value outside the
+/// type's range throws through env_reject instead of running a different
+/// number. Unset or empty means "use the default". `parse` has strtod's
+/// shape.
+template <typename T, typename Parse>
+T env_number(const char* name, T def, const char* expected, Parse parse) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
   char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return end == v ? def : parsed;
+  errno = 0;
+  const T parsed = parse(v, &end);
+  if (std::isspace(static_cast<unsigned char>(*v)) || *end != '\0' ||
+      errno == ERANGE) {
+    env_reject(name, v, expected);
+  }
+  return parsed;
+}
+
+inline long long env_i64(const char* name, long long def) {
+  return env_number<long long>(
+      name, def, "an integer",
+      [](const char* v, char** end) { return std::strtoll(v, end, 10); });
 }
 
 inline std::uint64_t env_u64(const char* name, std::uint64_t def) {
-  const long long v = env_i64(name, -1);
-  return v < 0 ? def : static_cast<std::uint64_t>(v);
+  constexpr const char* kExpected = "a non-negative integer";
+  // strtoull would negate a leading '-' into a huge value.
+  const char* raw = std::getenv(name);
+  if (raw != nullptr && *raw == '-') env_reject(name, raw, kExpected);
+  return env_number<std::uint64_t>(
+      name, def, kExpected,
+      [](const char* v, char** end) { return std::strtoull(v, end, 10); });
 }
 
 inline double env_f64(const char* name, double def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end == v ? def : parsed;
+  return env_number<double>(
+      name, def, "a number",
+      [](const char* v, char** end) { return std::strtod(v, end); });
 }
 
 /// Parses a whitespace- or comma-separated list of positive integers,

@@ -53,7 +53,7 @@ class AbTree final : public ConcurrentSet {
     for (std::size_t i = 0; i < nslots_; ++i) {
       slots_[i].store(nullptr, std::memory_order_relaxed);
     }
-    root_ = build(0, nslots_);
+    root_ = build();
   }
 
   ~AbTree() override {
@@ -143,31 +143,50 @@ class AbTree final : public ConcurrentSet {
     return std::binary_search(leaf.keys, end, key);
   }
 
-  /// Builds the routing subtree over leaf slots [lo, hi).
-  Router* build(std::size_t lo, std::size_t hi) {
-    routers_.push_back(std::make_unique<Router>());
-    Router* n = routers_.back().get();
-    const std::size_t span = hi - lo;
-    if (span <= kFanout) {
+  /// Builds the routing layer bottom-up at full fanout: each leaf-level
+  /// router covers 16 consecutive slots, each level above groups 16
+  /// routers, and each separator is the first key of the child to its
+  /// right. Returns the root.
+  Router* build() {
+    std::vector<Router*> level;
+    for (std::size_t lo = 0; lo < nslots_; lo += kFanout) {
+      Router* n = new_router();
       n->leaf_level = true;
       n->first_slot = lo;
-      n->nkeys = static_cast<std::uint32_t>(span - 1);
+      n->nkeys = static_cast<std::uint32_t>(
+          std::min(kFanout, nslots_ - lo) - 1);
       for (std::uint32_t i = 0; i < n->nkeys; ++i) {
         n->sep[i] = static_cast<std::uint64_t>(lo + i + 1) * kLeafCap;
       }
-      return n;
+      level.push_back(n);
     }
-    const std::size_t stride = (span + kFanout - 1) / kFanout;
-    std::uint32_t nchildren = 0;
-    for (std::size_t at = lo; at < hi; at += stride) {
-      n->child[nchildren++] = build(at, std::min(at + stride, hi));
+    while (level.size() > 1) {
+      std::vector<Router*> up;
+      for (std::size_t lo = 0; lo < level.size(); lo += kFanout) {
+        Router* n = new_router();
+        const std::size_t nchildren = std::min(kFanout, level.size() - lo);
+        for (std::size_t i = 0; i < nchildren; ++i) {
+          n->child[i] = level[lo + i];
+        }
+        n->nkeys = static_cast<std::uint32_t>(nchildren - 1);
+        for (std::uint32_t i = 0; i < n->nkeys; ++i) {
+          n->sep[i] = first_key(n->child[i + 1]);
+        }
+        up.push_back(n);
+      }
+      level = std::move(up);
     }
-    n->nkeys = nchildren - 1;
-    for (std::uint32_t i = 0; i < n->nkeys; ++i) {
-      n->sep[i] =
-          static_cast<std::uint64_t>(lo + (i + 1) * stride) * kLeafCap;
-    }
-    return n;
+    return level.front();
+  }
+
+  Router* new_router() {
+    routers_.push_back(std::make_unique<Router>());
+    return routers_.back().get();
+  }
+
+  static std::uint64_t first_key(const Router* n) {
+    while (!n->leaf_level) n = n->child[0];
+    return static_cast<std::uint64_t>(n->first_slot) * kLeafCap;
   }
 
   /// Separator walk from the root to the leaf slot covering `key`. The

@@ -5,6 +5,15 @@
 // schemes that used to alias this machinery live in their own
 // translation units now (smr/hp.cpp, smr/he_ibr_wfe.cpp, smr/nbr.cpp).
 //
+// Grace periods on demand: an epoch advance only matters because it
+// lets a sealed bag be freed, so the every-16th-op advance attempt runs
+// only while some sealed bag waits for grace. One bundle-wide count of
+// waiting bags, on its own cache line, is written once at seal and once
+// when the bag leaves for the executor (before the hand-over, so a
+// batch free's burst does not keep the others advancing); with nothing
+// waiting, an op end reads no other thread's announcement. The
+// seal-time and departure attempts are unconditional.
+//
 // Churn: a departing handle clears its announcement (so it can never pin
 // the epoch again), seals its bag and drains whatever grace already
 // allows; sealed bags that are still too young stay parked in the slot,
@@ -71,6 +80,7 @@ class EbrReclaimer final : public Reclaimer {
       EbrSlot& s = slots_[t];
       seal(s);
       while (!s.sealed.empty()) {
+        waiting_bags_.fetch_sub(1, std::memory_order_relaxed);
         executor_->on_reclaimable(static_cast<int>(t),
                                   std::move(s.sealed.front().nodes));
         s.sealed.pop_front();
@@ -103,7 +113,10 @@ class EbrReclaimer final : public Reclaimer {
     s.announce.store(s.announce.load(std::memory_order_relaxed) & ~1ULL,
                      opt_.quiescent ? std::memory_order_relaxed
                                     : std::memory_order_release);
-    if (++s.ops % kAdvanceEveryOps == 0) try_advance(slot_idx);
+    if (++s.ops % kAdvanceEveryOps == 0 &&
+        waiting_bags_.load(std::memory_order_relaxed) != 0) {
+      try_advance(slot_idx);
+    }
     if (!opt_.leak) collect_safe(slot_idx, s);
     executor_->on_op_end(slot_idx);
   }
@@ -181,14 +194,18 @@ class EbrReclaimer final : public Reclaimer {
                                  /*adopted=*/false, std::move(s.bag)});
     s.bag = {};
     s.bag.reserve(sealed_size);
+    waiting_bags_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Hands every bag two epochs behind the global epoch to the executor
-  /// (adopted bags through the amortizing adoption path).
+  /// (adopted bags through the amortizing adoption path). Each bag stops
+  /// counting as waiting before its hand-over: a batch executor frees it
+  /// in place, and the other threads need no advance meanwhile.
   void collect_safe(int slot_idx, EbrSlot& s) {
     if (s.sealed.empty()) return;
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
     while (!s.sealed.empty() && s.sealed.front().epoch + 2 <= e) {
+      waiting_bags_.fetch_sub(1, std::memory_order_relaxed);
       executor_->hand_over(slot_idx, s.sealed.front().adopted,
                            std::move(s.sealed.front().nodes));
       s.sealed.pop_front();
@@ -215,6 +232,9 @@ class EbrReclaimer final : public Reclaimer {
   std::atomic<std::size_t> seal_threshold_{1};
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> epochs_advanced_{0};
+  // Sealed bags not yet handed to the executor, parked ones included.
+  // Per-bag writes only; every 16th op end reads it.
+  alignas(64) std::atomic<std::uint64_t> waiting_bags_{0};
 };
 
 }  // namespace

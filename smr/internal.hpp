@@ -15,8 +15,10 @@ namespace emr::smr::internal {
 /// rotation, or HP scan — into the trial instruments. Every scheme
 /// funnels through here so the cross-scheme timelines and garbage
 /// censuses stay comparable. The pending count sums every lane, so it
-/// is computed only when a census is listening: beats run up to ~200 K
-/// times a second.
+/// is computed only when a census is listening: era schemes tick with
+/// their allocation rate, though EBR advances only while a sealed bag
+/// waits (about 2 K times a second in emrbench's `abtree_batch` on
+/// 4 vCPUs).
 inline void record_progress_beat(const Reclaimer& r, const SmrContext& ctx,
                                  int tid, std::uint64_t beat) {
   if (ctx.timeline != nullptr && ctx.timeline->enabled()) {

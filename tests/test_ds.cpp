@@ -107,6 +107,29 @@ TEST_P(DsModelTest, MatchesStdSetSingleThreaded) {
   }
 }
 
+// ------------------------------------------------------ abtree routing
+
+// Key k belongs to leaf slot k / 28 and a leaf refuses a 29th key, so
+// every 28-key segment fills exactly and a misrouted key gets refused.
+// The sizes cover one partial slot, one full slot, a slot past it, a
+// partial leaf-level router, and emrbench's depth-3 and depth-4 ranges.
+TEST(DsAbtree, EveryKeyInRangeRoutesToItsSegment) {
+  for (const std::uint64_t keyrange :
+       {2ull, 28ull, 29ull, 4097ull, 1ull << 16, 1ull << 17}) {
+    DsWorld w("abtree", "debra", keyrange, /*threads=*/1);
+    smr::ThreadHandle& h = w.h(0);
+    for (std::uint64_t k = 0; k < keyrange; ++k) {
+      ASSERT_TRUE(w.set->insert(h, k)) << keyrange << ": insert " << k;
+    }
+    for (std::uint64_t k = 0; k < keyrange; ++k) {
+      ASSERT_TRUE(w.set->contains(h, k)) << keyrange << ": find " << k;
+      ASSERT_TRUE(w.set->erase(h, k)) << keyrange << ": erase " << k;
+    }
+    w.teardown();
+    EXPECT_EQ(w.allocator.live(), 0u) << keyrange;
+  }
+}
+
 // ---------------------------------------------------- guard protection
 
 // A Guard's protect() must keep the node alive against a concurrent

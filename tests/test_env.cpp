@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/env.hpp"
 #include "harness/workload.hpp"
@@ -31,11 +34,14 @@ class EnvGuard {
   std::vector<std::string> touched_;
 };
 
-TEST(Env, I64ParsesAndFallsBack) {
+TEST(Env, I64ParsesAndRejectsJunk) {
   EnvGuard env;
   env.unset("EMR_TEST_I64");
   EXPECT_EQ(env_i64("EMR_TEST_I64", 7), 7);
   EXPECT_FALSE(env_has("EMR_TEST_I64"));
+
+  env.set("EMR_TEST_I64", "");  // empty still means unset
+  EXPECT_EQ(env_i64("EMR_TEST_I64", 7), 7);
 
   env.set("EMR_TEST_I64", "123");
   EXPECT_EQ(env_i64("EMR_TEST_I64", 7), 123);
@@ -44,8 +50,18 @@ TEST(Env, I64ParsesAndFallsBack) {
   env.set("EMR_TEST_I64", "-5");
   EXPECT_EQ(env_i64("EMR_TEST_I64", 7), -5);
 
-  env.set("EMR_TEST_I64", "notanumber");
-  EXPECT_EQ(env_i64("EMR_TEST_I64", 7), 7);
+  // Only a whole token parses: a numeric prefix is not the value.
+  for (const char* bad : {"notanumber", "12x", "1e3"}) {
+    env.set("EMR_TEST_I64", bad);
+    try {
+      env_i64("EMR_TEST_I64", 7);
+      FAIL() << "expected std::invalid_argument for '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("EMR_TEST_I64"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Env, ThreadListParsing) {
@@ -480,6 +496,29 @@ TEST(Env, RemotePenaltyKnobRejectsMalformedValues) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("EMR_REMOTE_PENALTY_NS"),
                 std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Env, NumericKnobsRejectMalformedValues) {
+  // Each of these used to run a different number without a word: the
+  // caller's default (EMR_BATCH=abc or -5 ran batch 2048) or a numeric
+  // prefix (EMR_REMOTE_PENALTY_NS=1e3 charged 1 ns).
+  const std::pair<const char*, const char*> cases[] = {
+      {"EMR_BATCH", "abc"},           {"EMR_BATCH", "-5"},
+      {"EMR_KEYRANGE", "abc"},        {"EMR_REMOTE_PENALTY_NS", "1e3"},
+      {"EMR_QUEUE_CAP", "12x"},       {"EMR_FLUSH_FRACTION", "0.5x"},
+  };
+  for (const auto& [knob, value] : cases) {
+    EnvGuard env;
+    env.set(knob, value);
+    try {
+      harness::config_from_env();
+      FAIL() << "expected std::invalid_argument for " << knob << "="
+             << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
           << e.what();
     }
   }

@@ -205,20 +205,57 @@ TEST(HandleLifecycle, TokenHolderDepartureHandsOff) {
   EXPECT_EQ(w.allocator.live(), 0u);
 }
 
+// EBR advances the epoch only while a sealed bag waits for grace: idle
+// readers leave it alone, and one sealed bag gets its two advances and
+// its free within a few cadence points.
+TEST(HandleLifecycle, IdleReadersDoNotAdvanceTheEpoch) {
+  for (const char* name : {"debra", "qsbr", "rcu"}) {
+    LifecycleWorld w(name, /*threads=*/3, /*batch=*/8);
+    std::vector<smr::ThreadHandle> hs;
+    for (int i = 0; i < 3; ++i) hs.push_back(w.r().register_thread());
+    auto round = [&hs] {
+      for (smr::ThreadHandle& h : hs) smr::Guard g(h);
+    };
+
+    const std::uint64_t before = w.r().stats().epochs_advanced;
+    for (int i = 0; i < 1000; ++i) round();
+    EXPECT_EQ(w.r().stats().epochs_advanced, before)
+        << name << ": advanced with no bag waiting";
+
+    for (int i = 0; i < 8; ++i) {  // the 8th retire seals one bag
+      smr::Guard g(hs[0]);
+      g.retire(w.r().alloc_node(hs[0], 64));
+    }
+    for (int i = 0; i < 64 && w.r().stats().freed < 8; ++i) round();
+    EXPECT_GE(w.r().stats().epochs_advanced, before + 2) << name;
+    EXPECT_EQ(w.r().stats().freed, 8u) << name;
+
+    hs.clear();
+    w.r().flush_all();
+    EXPECT_EQ(w.r().stats().pending, 0u) << name;
+    EXPECT_EQ(w.allocator.live(), 0u) << name;
+  }
+}
+
 // EBR: a handle that departs (without quiescing further) must not pin
-// the epoch for the survivors.
+// the epoch for the survivors. A pinned survivor holds the second
+// advance back while the departing handle seals its two bags, so both
+// park unsafe and the survivors have a reason to advance.
 TEST(HandleLifecycle, EpochKeepsAdvancingAfterDeparture) {
   for (const char* name : {"debra", "qsbr", "rcu"}) {
     LifecycleWorld w(name, /*threads=*/3, /*batch=*/4);
     smr::ThreadHandle h0 = w.r().register_thread();
     smr::ThreadHandle h1 = w.r().register_thread();
     {
+      smr::Guard pin(h0);
       smr::ThreadHandle departing = w.r().register_thread();
       for (int i = 0; i < 8; ++i) {
         smr::Guard g(departing);
         g.retire(w.r().alloc_node(departing, 64));
       }
-    }  // departs with retires parked and no further announcements
+    }  // departs with both bags parked, then the pin drops
+    ASSERT_GT(w.r().stats().pending, 0u)
+        << name << ": the pin should have kept a bag unsafe";
 
     const std::uint64_t before = w.r().stats().epochs_advanced;
     for (int i = 0; i < 2000; ++i) {
